@@ -57,7 +57,6 @@ from .search import (
     exhaustive_search,
     orbit_reduce,
     search_and_classify,
-    verify_z6_nonexistence,
 )
 from .splitting import (
     DivisibilityReport,

@@ -110,7 +110,7 @@ def _cmd_check(args) -> int:
 def _cmd_build(args) -> int:
     f = _load_function(args)
     S = Structure(f)
-    report = verify_axioms(S, workers=args.workers)
+    report = verify_axioms(S)
     if args.json:
         _emit(json.dumps(axiom_report_dict(report), indent=2), args.out)
     else:
@@ -235,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build the incidence structure and verify the axioms")
     _add_function_flags(p)
     _add_output_flags(p)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("classify", help="classify the splitting case of the structure")

@@ -10,7 +10,6 @@ and exports DOT.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .functions import FuncTable
@@ -143,68 +142,36 @@ def common_points(S: Structure, l1: int, l2: int) -> frozenset[int]:
     return points_on_line(S, l1) & points_on_line(S, l2)
 
 
-def _incidence_masks(S: Structure) -> tuple[list[int], list[int]]:
-    """Per-point line pencil and per-line point set, as int bitmasks."""
-    v = S.point_count
-    pencils = [0] * v
-    linesets = [0] * v
-    for line in range(v):
-        bit = 1 << line
-        for p in points_on_line(S, line):
-            pencils[p] |= bit
-            linesets[line] |= 1 << p
-    return pencils, linesets
-
-
-def _first_pair_violation(masks, lo, hi, v):
-    # Scan rows lo..hi-1 in lexicographic (i, j) order; the first hit in a
-    # contiguous row range is also its minimum.
-    for i in range(lo, hi):
-        mi = masks[i]
-        for j in range(i + 1, v):
-            c = (mi & masks[j]).bit_count()
-            if c != 0 and c != 2:
-                return (i, j, c)
+def _row0_failure(S: Structure, blocks, members) -> tuple[int, int, int] | None:
+    """First (0, j, count) where id j shares a count other than 0 or 2 of
+    blocks with id 0; ``blocks(S, 0)`` are the blocks through id 0 and
+    ``members(S, block)`` the ids in a block."""
+    shared = [0] * S.point_count
+    for block in blocks(S, 0):
+        for j in members(S, block):
+            shared[j] += 1
+    for j in range(1, S.point_count):
+        if shared[j] != 0 and shared[j] != 2:
+            return (0, j, shared[j])
     return None
 
 
-def _scan_pairs(masks, v, workers):
-    if workers <= 1:
-        return _first_pair_violation(masks, 0, v, v)
-    bounds = [(v * w) // workers for w in range(workers + 1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(
-                lambda span: _first_pair_violation(masks, span[0], span[1], v),
-                zip(bounds, bounds[1:]),
-            )
-        )
-    for r in results:  # shard order == row order, so first hit is global min
-        if r is not None:
-            return r
-    return None
-
-
-def verify_axioms(S: Structure, workers: int = 1) -> AxiomReport:
-    """Check both 0-or-2 axioms over all pairs, plus connectivity.
-
-    The result is independent of ``workers``; sharding only splits the pair
-    scan by row ranges.
-    """
-    v = S.point_count
-    k = S.points_per_line
-    pencils, linesets = _incidence_masks(S)
+def verify_axioms(S: Structure) -> AxiomReport:
+    """Check both 0-or-2 axioms over all pairs, plus connectivity."""
+    # Translations (x, y) -> (x+g, y+h), L(a, b) -> L(a+g, b+h) keep incidence
+    # and act regularly on points and on lines, so any failing pair maps to
+    # a failing pair (0, j): row 0 holds the lexicographically first failure.
     failure = None
-    hit = _scan_pairs(pencils, v, workers)
+    hit = _row0_failure(S, lines_through_point, points_on_line)
     if hit is not None:
         failure = ("points",) + hit
     else:
-        hit = _scan_pairs(linesets, v, workers)
+        hit = _row0_failure(S, points_on_line, lines_through_point)
         if hit is not None:
             failure = ("lines",) + hit
     part = components(S)
     ok = failure is None and part.component_count == 1
-    return AxiomReport(ok, v, k, part.component_count, failure)
+    return AxiomReport(ok, S.point_count, S.points_per_line, part.component_count, failure)
 
 
 def components(S: Structure) -> ComponentPartition:

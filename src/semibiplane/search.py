@@ -12,13 +12,13 @@ for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 
 from . import kernels
 from .errors import SearchBudgetError
 from .functions import FuncTable, format_table
-from .groups import GroupSpec, add_table, automorphisms, make_group, sub_table
+from .groups import GroupSpec, add_table, automorphisms, sub_table
 from .incidence import Structure, components
 from .splitting import classify_split
 
@@ -112,16 +112,6 @@ def search_and_classify(
         report = classify_split(S, components(S))
         out.append((f, report.kind))
     return out
-
-
-def verify_z6_nonexistence(use_pruning: bool = False, workers: int = 1) -> bool:
-    """Search Z6 both normalized (6^5 tables) and unnormalized (6^6) and
-    report whether both find zero semi-planar functions."""
-    z6 = make_group([6])
-    base = SearchOptions(use_pruning=use_pruning, use_fiber_limit=use_pruning)
-    normalized = exhaustive_search(z6, z6, replace(base, fix_zero_at_zero=True), workers)
-    full = exhaustive_search(z6, z6, replace(base, fix_zero_at_zero=False), workers)
-    return normalized.count == 0 and full.count == 0
 
 
 def orbit_reduce(

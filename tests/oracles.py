@@ -100,6 +100,30 @@ def incidence_pairs(values, gfac, hfac):
     }
 
 
+def first_axiom_failure(values, gfac, hfac):
+    """The full pair scan: the first (kind, i, j, count) with i < j whose
+    points (kind "points") or lines (kind "lines") share a number of blocks
+    other than 0 or 2. Points are scanned before lines, pairs in
+    lexicographic order; None when both axioms hold."""
+    k, nh = group_order(gfac), group_order(hfac)
+    v = k * nh
+    lines_through = [set() for _ in range(v)]
+    points_on = [set() for _ in range(v)]
+    for a in range(k):
+        for b in range(nh):
+            for x in range(k):
+                point = x * nh + add(hfac, values[sub(gfac, x, a)], b)
+                lines_through[point].add(a * nh + b)
+                points_on[a * nh + b].add(point)
+    for kind, blocks in (("points", lines_through), ("lines", points_on)):
+        for i in range(v):
+            for j in range(i + 1, v):
+                count = len(blocks[i] & blocks[j])
+                if count not in (0, 2):
+                    return (kind, i, j, count)
+    return None
+
+
 def poly_mul_mod(a, b, modulus):
     """Schoolbook carry-less multiply, then long division by the modulus."""
     prod_bits = 0

@@ -31,7 +31,6 @@ from semibiplane import (
     verify_divisible,
     verify_phi_isomorphism,
 )
-from semibiplane.incidence import axiom_report_dict
 from semibiplane.search import search_result_dict
 from semibiplane.splitting import split_report_dict
 from semibiplane.verify import (
@@ -60,24 +59,16 @@ def test_criterion_1_gold_family_matches_gcd_rule():
     report("1 gold-family", elapsed, "e=2..5, all alpha, verdict == gcd rule")
 
 
-@pytest.mark.parametrize("e", [3, 4])
+@pytest.mark.parametrize("e", [3, 4, 5, 6, 7])
 def test_criterion_2_gold_structures_are_sbp(e):
     t0 = time.perf_counter()
     rep = verify_axioms(Structure(gold_table(e, 1)))
+    elapsed = time.perf_counter() - t0
     assert rep.is_semibiplane
     assert rep.v == 2 ** (2 * e)
     assert rep.k == 2 ** e
-    report(f"2 sbp(4^{e},2^{e})", time.perf_counter() - t0, "connected, both axioms hold")
-
-
-def test_criterion_2_gold_e5_if_within_budget():
-    t0 = time.perf_counter()
-    rep = verify_axioms(Structure(gold_table(5, 1)))
-    elapsed = time.perf_counter() - t0
-    if elapsed >= 60.0:
-        pytest.skip(f"e=5 verification took {elapsed:.0f}s, beyond the 60s budget")
-    assert rep.is_semibiplane and rep.v == 1024 and rep.k == 32
-    report("2 sbp(1024,32)", elapsed, "e=5 construction inside the 60s budget")
+    assert elapsed < 60.0
+    report(f"2 sbp(4^{e},2^{e})", elapsed, "connected, both axioms hold, inside the 60s budget")
 
 
 def test_criterion_3_hypercube_case():
@@ -174,20 +165,11 @@ def test_criterion_7_property_suites(check):
 def test_criterion_8_worker_determinism():
     t0 = time.perf_counter()
     z6 = make_group([6])
-    # criterion 2 reports: axiom verification of the gold structures
-    for e in (3, 4):
-        S = Structure(gold_table(e, 1))
-        one = json.dumps(axiom_report_dict(verify_axioms(S, workers=1)))
-        many = json.dumps(axiom_report_dict(verify_axioms(S, workers=3)))
-        assert one == many
     # criterion 3 reports: the split classification is reproducible
     S = Structure(gold_table(2, 1))
     part = components(S)
     assert json.dumps(split_report_dict(classify_split(S, part))) == json.dumps(
         split_report_dict(classify_split(S, components(S)))
-    )
-    assert json.dumps(axiom_report_dict(verify_axioms(S, workers=1))) == json.dumps(
-        axiom_report_dict(verify_axioms(S, workers=3))
     )
     # criterion 4 reports: the searches themselves
     for opts, normalized in ((UNPRUNED, True), (SearchOptions(fix_zero_at_zero=False), False)):
@@ -196,4 +178,4 @@ def test_criterion_8_worker_determinism():
         assert json.dumps(search_result_dict(one, z6, normalized, timing=False)) == \
             json.dumps(search_result_dict(many, z6, normalized, timing=False))
     report("8 worker-determinism", time.perf_counter() - t0,
-           "axiom, classification and search reports byte-identical for 1 vs 3 workers")
+           "classification and search reports byte-identical for 1 vs 3 workers")

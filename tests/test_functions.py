@@ -217,6 +217,31 @@ def test_is_automorphism(z2z2, z6):
 
     additive = [p for p in permutations(range(4)) if is_automorphism(z2z2, p)]
     assert additive == sorted(V4_AUTOMORPHISMS)
+    # above order 256 the check stays exact: Z2^9 with the Gray-code map
+    # x -> x ^ (x >> 1), which is GF(2)-linear, then with 1 and 2 swapped
+    z2_9 = make_group([2] * 9)
+    gray = tuple(x ^ (x >> 1) for x in range(512))
+    assert is_automorphism(z2_9, gray)
+    swap = {1: 2, 2: 1}
+    assert not is_automorphism(z2_9, tuple(swap.get(y, y) for y in gray))
+
+
+def additive_on_all_pairs(factors, perm):
+    k = len(perm)
+    return all(
+        perm[oracles.add(factors, x, y)] == oracles.add(factors, perm[x], perm[y])
+        for x in range(k) for y in range(k)
+    )
+
+
+def test_is_automorphism_matches_all_pairs_z2x4():
+    # every permutation of Z2 x Z4, against additivity on all 64 pairs
+    from itertools import permutations
+
+    G = make_group([2, 4])
+    additive = [p for p in permutations(range(8)) if additive_on_all_pairs([2, 4], p)]
+    assert len(additive) == 8  # Aut(Z2 x Z4) is dihedral of order 8
+    assert [p for p in permutations(range(8)) if is_automorphism(G, p)] == additive
 
 
 def test_transform_preserves_semiplanarity_exhaustive_z6(z6):

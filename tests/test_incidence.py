@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from semibiplane import (
@@ -22,7 +24,6 @@ from semibiplane import (
     points_on_line,
     verify_axioms,
 )
-from semibiplane.incidence import axiom_report_dict
 
 
 @pytest.fixture(scope="module")
@@ -123,10 +124,31 @@ def test_verify_axioms_gold21_disconnected(s_gold21):
     assert report.component_count == 2
 
 
-def test_verify_axioms_workers_identical(s_gold31):
-    a = axiom_report_dict(verify_axioms(s_gold31, workers=1))
-    b = axiom_report_dict(verify_axioms(s_gold31, workers=4))
-    assert a == b
+#: (domain factors, codomain factors) for the oracle cross-check
+ORACLE_GROUPS = [
+    ([6], [6]), ([2, 2], [2, 2]), ([8], [8]), ([2, 4], [2, 4]),
+    ([2, 2, 2], [2, 2, 2]), ([4, 4], [4, 4]), ([2], [4]), ([4], [2]),
+]
+
+
+@given(st.sampled_from(ORACLE_GROUPS), st.data())
+@settings(max_examples=120, deadline=None)
+def test_verify_axioms_failure_matches_full_scan(groups, data):
+    gfac, hfac = groups
+    G, H = make_group(gfac), make_group(hfac)
+    values = data.draw(
+        st.lists(st.integers(0, H.order - 1), min_size=G.order, max_size=G.order)
+    )
+    report = verify_axioms(Structure(make_table(G, H, values)))
+    assert report.failure == oracles.first_axiom_failure(values, gfac, hfac)
+
+
+def test_verify_axioms_failure_matches_full_scan_semiplanar(found_small):
+    for factors, tables in found_small.items():
+        for f in tables:
+            report = verify_axioms(Structure(f))
+            assert report.failure is None
+            assert oracles.first_axiom_failure(f.values, factors, factors) is None
 
 
 def test_self_duality_of_intersection_multisets():

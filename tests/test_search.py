@@ -15,7 +15,6 @@ from semibiplane import (
     make_table,
     orbit_reduce,
     search_and_classify,
-    verify_z6_nonexistence,
 )
 from semibiplane.search import search_result_dict
 
@@ -122,11 +121,6 @@ def test_missing_tables_sampled_z6_are_not_semiplanar(z6):
         values = tuple(rng.randrange(6) for _ in range(6))
         f = make_table(z6, z6, values)
         assert not is_semiplanar(f).is_semiplanar  # nothing exists over Z6
-
-
-def test_verify_z6_nonexistence():
-    assert verify_z6_nonexistence() is True
-    assert verify_z6_nonexistence(use_pruning=True) is True
 
 
 def test_budget_guard():
