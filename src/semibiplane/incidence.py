@@ -71,9 +71,10 @@ class AxiomReport:
     v: int
     k: int
     component_count: int
-    #: ("points" | "lines", id1, id2, shared_count) for the first pair (in
-    #: lexicographic id order, points scanned before lines) that meets in a
-    #: number of blocks other than 0 or 2. None when both axioms hold.
+    #: ("points", id1, id2, shared_count) for the first pair of points (in
+    #: lexicographic id order) that shares a number of lines other than 0 or
+    #: 2; the kind is always "points", since a failing line pair implies a
+    #: failing point pair. None when both axioms hold.
     failure: tuple[str, int, int, int] | None
 
 
@@ -142,13 +143,12 @@ def common_points(S: Structure, l1: int, l2: int) -> frozenset[int]:
     return points_on_line(S, l1) & points_on_line(S, l2)
 
 
-def _row0_failure(S: Structure, blocks, members) -> tuple[int, int, int] | None:
-    """First (0, j, count) where id j shares a count other than 0 or 2 of
-    blocks with id 0; ``blocks(S, 0)`` are the blocks through id 0 and
-    ``members(S, block)`` the ids in a block."""
+def _row0_failure(S: Structure) -> tuple[int, int, int] | None:
+    """First (0, j, count) where point j shares a count other than 0 or 2 of
+    lines with point 0."""
     shared = [0] * S.point_count
-    for block in blocks(S, 0):
-        for j in members(S, block):
+    for line in lines_through_point(S, 0):
+        for j in points_on_line(S, line):
             shared[j] += 1
     for j in range(1, S.point_count):
         if shared[j] != 0 and shared[j] != 2:
@@ -161,47 +161,73 @@ def verify_axioms(S: Structure) -> AxiomReport:
     # Translations (x, y) -> (x+g, y+h), L(a, b) -> L(a+g, b+h) keep incidence
     # and act regularly on points and on lines, so any failing pair maps to
     # a failing pair (0, j): row 0 holds the lexicographically first failure.
-    failure = None
-    hit = _row0_failure(S, lines_through_point, points_on_line)
-    if hit is not None:
-        failure = ("points",) + hit
-    else:
-        hit = _row0_failure(S, points_on_line, lines_through_point)
-        if hit is not None:
-            failure = ("lines",) + hit
+    # Lines 0, j share as many points as points 0, j share lines, so the
+    # points' row 0 decides both axioms.
+    hit = _row0_failure(S)
+    failure = None if hit is None else ("points",) + hit
     part = components(S)
     ok = failure is None and part.component_count == 1
     return AxiomReport(ok, S.point_count, S.points_per_line, part.component_count, failure)
 
 
 def components(S: Structure) -> ComponentPartition:
-    """Breadth-first labeling of the bipartite incidence graph.
+    """Label the components as cosets of a translation subgroup of G x H.
 
-    Seeds are taken in line-id order, so component labels come out ordered by
-    smallest contained line id and L(0, 0) always lands in component 0.
+    The translations (x, y) -> (x+g, y+h), L(a, b) -> L(a+g, b+h) keep
+    incidence, so L(a, b) and L(a', b') meet exactly when (a'-a, b'-b) is an
+    offset (a, f(x) - f(x-a)) of a line meeting L(0, 0). The lines of the
+    component of L(0, 0) are the subgroup K those offsets generate, and every
+    component's lines form a coset of K. Cosets are labelled in line-id order,
+    so labels come out ordered by smallest contained line id and L(0, 0)
+    always lands in component 0. Point (x, y) lies on L(x, y - f(0)) and
+    takes its label.
     """
-    v = S.point_count
-    comp_pt = [-1] * v
+    f = S.f
+    k, nh, v = f.domain.order, f.codomain.order, S.point_count
+    gadd, gsub = add_table(f.domain), sub_table(f.domain)
+    hadd, hsub = add_table(f.codomain), sub_table(f.codomain)
+    values = f.values
+
+    def shifted(i: int, pairs: list[tuple[int, int]]) -> list[int]:
+        """The ids i + (c, d) for each (c, d) in ``pairs``."""
+        a, b = divmod(i, nh)
+        ra, rb = a * k, b * nh
+        return [gadd[ra + c] * nh + hadd[rb + d] for c, d in pairs]
+
+    # Each generator not yet in K at least doubles K: under 2v additions.
+    subgroup = [0]
+    in_subgroup = [False] * v
+    in_subgroup[0] = True
+    offsets = (
+        a * nh + hsub[values[x] * nh + values[gsub[x * k + a]]]
+        for a in range(1, k)
+        for x in range(k)
+    )
+    for gen in offsets:
+        if len(subgroup) == v:
+            break
+        if in_subgroup[gen]:
+            continue
+        base = [divmod(e, nh) for e in subgroup]
+        step, gen_pair = gen, [divmod(gen, nh)]
+        while not in_subgroup[step]:
+            coset = shifted(step, base)
+            for t in coset:
+                in_subgroup[t] = True
+            subgroup += coset
+            (step,) = shifted(step, gen_pair)
+
+    pairs = [divmod(e, nh) for e in subgroup]
     comp_ln = [-1] * v
     label = 0
     for seed in range(v):
         if comp_ln[seed] >= 0:
             continue
-        comp_ln[seed] = label
-        queue = deque([(False, seed)])
-        while queue:
-            is_point, i = queue.popleft()
-            if is_point:
-                for l in lines_through_point(S, i):
-                    if comp_ln[l] < 0:
-                        comp_ln[l] = label
-                        queue.append((False, l))
-            else:
-                for p in points_on_line(S, i):
-                    if comp_pt[p] < 0:
-                        comp_pt[p] = label
-                        queue.append((True, p))
+        for t in shifted(seed, pairs):
+            comp_ln[t] = label
         label += 1
+    f0 = values[0]
+    comp_pt = [comp_ln[x * nh + hsub[y * nh + f0]] for x in range(k) for y in range(nh)]
     return ComponentPartition(tuple(comp_pt), tuple(comp_ln), label)
 
 

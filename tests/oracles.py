@@ -4,7 +4,7 @@ Everything here works on digit lists and dictionaries with no shared code
 with the package, so the tests can use these as independent oracles.
 """
 
-from collections import Counter
+from collections import Counter, deque
 from itertools import product
 
 
@@ -100,11 +100,8 @@ def incidence_pairs(values, gfac, hfac):
     }
 
 
-def first_axiom_failure(values, gfac, hfac):
-    """The full pair scan: the first (kind, i, j, count) with i < j whose
-    points (kind "points") or lines (kind "lines") share a number of blocks
-    other than 0 or 2. Points are scanned before lines, pairs in
-    lexicographic order; None when both axioms hold."""
+def blocks_of(values, gfac, hfac):
+    """(lines through each point, points on each line) as lists of sets."""
     k, nh = group_order(gfac), group_order(hfac)
     v = k * nh
     lines_through = [set() for _ in range(v)]
@@ -115,6 +112,16 @@ def first_axiom_failure(values, gfac, hfac):
                 point = x * nh + add(hfac, values[sub(gfac, x, a)], b)
                 lines_through[point].add(a * nh + b)
                 points_on[a * nh + b].add(point)
+    return lines_through, points_on
+
+
+def first_axiom_failure(values, gfac, hfac):
+    """The full pair scan: the first (kind, i, j, count) with i < j whose
+    points (kind "points") or lines (kind "lines") share a number of blocks
+    other than 0 or 2. Points are scanned before lines, pairs in
+    lexicographic order; None when both axioms hold."""
+    lines_through, points_on = blocks_of(values, gfac, hfac)
+    v = len(lines_through)
     for kind, blocks in (("points", lines_through), ("lines", points_on)):
         for i in range(v):
             for j in range(i + 1, v):
@@ -122,6 +129,31 @@ def first_axiom_failure(values, gfac, hfac):
                 if count not in (0, 2):
                     return (kind, i, j, count)
     return None
+
+
+def component_labels(values, gfac, hfac):
+    """Breadth-first labelling of the bipartite incidence graph:
+    (label of each point, label of each line, component count). Seeds are
+    taken in line-id order, so labels are ordered by smallest line id."""
+    lines_through, points_on = blocks_of(values, gfac, hfac)
+    v = len(lines_through)
+    comp_pt = [-1] * v
+    comp_ln = [-1] * v
+    count = 0
+    for seed in range(v):
+        if comp_ln[seed] >= 0:
+            continue
+        comp_ln[seed] = count
+        queue = deque([(False, seed)])
+        while queue:
+            is_point, i = queue.popleft()
+            labels, neighbours = (comp_ln, lines_through[i]) if is_point else (comp_pt, points_on[i])
+            for j in neighbours:
+                if labels[j] < 0:
+                    labels[j] = count
+                    queue.append((not is_point, j))
+        count += 1
+    return tuple(comp_pt), tuple(comp_ln), count
 
 
 def poly_mul_mod(a, b, modulus):

@@ -59,7 +59,7 @@ def test_criterion_1_gold_family_matches_gcd_rule():
     report("1 gold-family", elapsed, "e=2..5, all alpha, verdict == gcd rule")
 
 
-@pytest.mark.parametrize("e", [3, 4, 5, 6, 7])
+@pytest.mark.parametrize("e", [3, 4, 5, 6, 7, 8])
 def test_criterion_2_gold_structures_are_sbp(e):
     t0 = time.perf_counter()
     rep = verify_axioms(Structure(gold_table(e, 1)))

@@ -206,6 +206,45 @@ def test_components_sizes_for_semiplanar(found_small):
                     assert lns == k * k // 2
 
 
+def assert_components_match_oracle(values, gfac, hfac):
+    part = components(Structure(make_table(make_group(gfac), make_group(hfac), values)))
+    expect = oracles.component_labels(values, gfac, hfac)
+    assert (part.component_of_point, part.component_of_line, part.component_count) == expect
+    return part.component_count
+
+
+@given(st.sampled_from(ORACLE_GROUPS), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_components_match_bfs_oracle(groups, narrow, data):
+    gfac, hfac = groups
+    elements = st.integers(0, oracles.group_order(hfac) - 1)
+    if narrow:
+        # values from a 1- to 3-element subset of H split into many components
+        elements = st.sampled_from(data.draw(st.lists(elements, min_size=1, max_size=3, unique=True)))
+    n = oracles.group_order(gfac)
+    values = data.draw(st.lists(elements, min_size=n, max_size=n))
+    assert_components_match_oracle(values, gfac, hfac)
+
+
+@pytest.mark.parametrize(
+    "gfac, hfac, values, count",
+    [
+        ([2, 2, 2], [2, 2, 2], [5] * 8, 8),
+        ([4, 4], [4, 4], [0] * 16, 16),
+        ([6], [6], list(range(6)), 6),
+        ([2], [4], [0, 2], 4),
+    ],
+)
+def test_components_match_bfs_oracle_examples(gfac, hfac, values, count):
+    assert assert_components_match_oracle(values, gfac, hfac) == count
+
+
+def test_components_match_bfs_oracle_semiplanar(found_small):
+    for factors, tables in found_small.items():
+        for f in tables:
+            assert_components_match_oracle(f.values, factors, factors)
+
+
 def test_component_graph_counts(s_gold21, s_gold31):
     part = components(s_gold21)
     g = component_graph(s_gold21, part, 0)
