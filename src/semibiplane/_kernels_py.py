@@ -30,8 +30,8 @@ def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, use_fib
     complete assignments examined, ``count`` the number of semi-planar tables
     among them, and ``found`` those tables as tuples (lexicographic order).
 
-    ``fix_zero`` pins f(0) = 0; ``shard_val >= 0`` pins f(1), which is the
-    sharding axis for parallel runs. With ``use_pruning`` the enumeration
+    ``fix_zero`` pins f(0) = 0; ``shard_val >= 0`` pins f(1), the axis
+    ``exhaustive_search`` shards on. With ``use_pruning`` the enumeration
     keeps incremental per-(a, y) counts of finished difference pairs and
     backtracks once any count exceeds 2; with ``use_fiber_limit`` (active only
     for k > 4) it backtracks once a partial fiber exceeds k/2. Flags change

@@ -23,6 +23,7 @@ from .functions import FuncTable, format_table, is_semiplanar, parse_table
 from .gf2 import gold_table, inverse_table
 from .groups import GroupSpec, make_group
 from .incidence import Structure, axiom_report_dict, components, export_dot, verify_axioms
+from .kernels import BACKEND
 from .search import SearchOptions, exhaustive_search, search_result_dict
 from .splitting import classify_split, split_report_dict
 from .verify import run_checks
@@ -78,6 +79,10 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_json(data: dict, out: str | None) -> None:
+    _emit(json.dumps({**data, "backend": BACKEND}, indent=2), out)
+
+
 def _add_function_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", help="group factors, e.g. '6' or '2x2'")
     p.add_argument("--function", help="table text '0,1,1,1' or @file")
@@ -98,7 +103,7 @@ def _cmd_check(args) -> int:
         if verdict.witness is not None:
             a, y, c = verdict.witness
             witness = {"a": a, "y": y, "count": c}
-        _emit(json.dumps({"semiplanar": verdict.is_semiplanar, "witness": witness}, indent=2), args.out)
+        _emit_json({"semiplanar": verdict.is_semiplanar, "witness": witness}, args.out)
     elif verdict.is_semiplanar:
         _emit("semi-planar", args.out)
     else:
@@ -112,7 +117,7 @@ def _cmd_build(args) -> int:
     S = Structure(f)
     report = verify_axioms(S)
     if args.json:
-        _emit(json.dumps(axiom_report_dict(report), indent=2), args.out)
+        _emit_json(axiom_report_dict(report), args.out)
     else:
         lines = [
             f"v={report.v} k={report.k} components={report.component_count}",
@@ -134,7 +139,7 @@ def _cmd_classify(args) -> int:
     report = classify_split(S, components(S))
     data = split_report_dict(report)
     if args.json:
-        _emit(json.dumps(data, indent=2), args.out)
+        _emit_json(data, args.out)
     else:
         _emit(
             f"kind={data['kind']} B={data['B']} A={data['A']} g={data['g']} h={data['h']}",
@@ -157,7 +162,7 @@ def _cmd_search(args) -> int:
     except SearchBudgetError as exc:
         raise UsageError(f"--max-order: {exc}") from None
     if args.json:
-        _emit(json.dumps(search_result_dict(result, G, opts.fix_zero_at_zero), indent=2), args.out)
+        _emit_json(search_result_dict(result, G, opts.fix_zero_at_zero), args.out)
     else:
         lines = [
             f"group={G.name} normalized={opts.fix_zero_at_zero} "
@@ -183,7 +188,7 @@ def _cmd_verify_paper(args) -> int:
             ],
             "passed": all(r.passed for r in results),
         }
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit_json(payload, args.out)
     else:
         lines = [
             f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results

@@ -4,9 +4,10 @@ Tables are assigned value by value in index order. The pruned route keeps
 incremental difference-pair counts and backtracks the moment any count
 exceeds 2 (optionally also when a partial fiber exceeds k/2); the unpruned
 route enumerates every table and applies the direct checker, which makes the
-two routes independent implementations that must agree. Parallel runs shard
-on the value of f(1) and merge in canonical order, so reports are identical
-for any worker count.
+two routes independent implementations that must agree. Each searched value
+of f(1) is one shard, and shards merge in canonical order, so reports are
+identical for any worker count. The pruned route searches one f(1) per coset
+of H[n1] and rebuilds the other shards by homomorphism shifts (``_shifts``).
 """
 
 from __future__ import annotations
@@ -72,8 +73,15 @@ def exhaustive_search(
         )
     gadd = add_table(G)
     gsub = sub_table(G)
+    hadd = add_table(H)
     hsub = sub_table(H)
     t0 = perf_counter()
+    # Shifts keep the difference counts but not the fibers. With pruning on,
+    # a fiber of size s has s(s-1) <= 2(k-1), which implies the fiber limit
+    # k//2 except at k = 5 and 7.
+    reduce = opts.use_pruning and not (opts.use_fiber_limit and k in (5, 7))
+    chis = _shifts(G, H) if reduce else [(0,) * k]
+    reps = sorted({min(hadd[s * k + chi[1]] for chi in chis) for s in range(k)})
 
     def run_shard(shard_val: int):
         return kernels.search_tables(
@@ -83,18 +91,42 @@ def exhaustive_search(
         )
 
     if workers <= 1:
-        shards = [run_shard(-1)]
+        shards = list(map(run_shard, reps))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(run_shard, range(k)))
+            shards = list(pool.map(run_shard, reps))
 
-    visited = sum(s[0] for s in shards)
-    count = sum(s[1] for s in shards)
-    values = sorted(v for s in shards for v in s[2])
+    visited = sum(s[0] for s in shards) * len(chis)
+    count = sum(s[1] for s in shards) * len(chis)
+    values = [
+        tuple([hadd[v * k + c] for v, c in zip(t, chi)]) if chi[1] else t
+        for s in shards for t in s[2] for chi in chis
+    ]
+    values.sort()
     if opts.max_results is not None:
         values = values[: opts.max_results]
     found = tuple(FuncTable(G, H, tuple(v)) for v in values)
     return SearchResult(visited, count, found, perf_counter() - t0)
+
+
+def _shifts(G: GroupSpec, H: GroupSpec) -> list[tuple[int, ...]]:
+    """Value tables of chi_r(x) = x1 * r for r in H[n1] = {r : n1 * r = 0},
+    x1 the first digit of x and n1 = G.factors[0].
+
+    chi_r is a homomorphism, so f -> f + chi_r keeps f(0), shifts row a of
+    the difference table by chi_r(a), and maps the pruned search's leaves
+    and semi-planar tables onto themselves; it moves f(1) by r.
+    """
+    k, n1 = H.order, G.factors[0]
+    hadd = add_table(H)
+    out = []
+    for r in H.elements():
+        mult = [0]
+        for _ in range(n1):
+            mult.append(hadd[mult[-1] * k + r])
+        if mult[n1] == 0:
+            out.append(tuple(mult[x % n1] for x in range(k)))
+    return out
 
 
 def search_and_classify(

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from semibiplane import KERNEL_BACKEND
 from semibiplane.cli import main
 
 
@@ -40,7 +43,9 @@ def test_check_json(capsys):
     code, out, _ = run(capsys, "check", "--group", "6", "--function", "0,1,2,3,4,5", "--json")
     assert code == 1
     data = json.loads(out)
-    assert data == {"semiplanar": False, "witness": {"a": 1, "y": 1, "count": 6}}
+    assert data == {
+        "semiplanar": False, "witness": {"a": 1, "y": 1, "count": 6}, "backend": KERNEL_BACKEND,
+    }
 
 
 def test_check_function_from_file(capsys, tmp_path):
@@ -56,7 +61,10 @@ def test_build_gold3(capsys):
     code, out, _ = run(capsys, "build", "--field-e", "3", "--alpha", "1", "--json")
     assert code == 0
     data = json.loads(out)
-    assert data == {"v": 64, "k": 8, "semibiplane": True, "components": 1, "failure": None}
+    assert data == {
+        "v": 64, "k": 8, "semibiplane": True, "components": 1, "failure": None,
+        "backend": KERNEL_BACKEND,
+    }
 
 
 def test_build_gold2_splits(capsys):
@@ -81,6 +89,7 @@ def test_classify_gold2(capsys):
     assert code == 0
     assert json.loads(out) == {
         "kind": "case-i", "B": [0, 1], "A": [0, 1, 2, 3], "g": None, "h": 2,
+        "backend": KERNEL_BACKEND,
     }
 
 
@@ -192,6 +201,19 @@ def test_verify_paper_json_roundtrip(capsys):
     assert data["passed"] is True
     assert len(data["checks"]) >= 12
     assert all(c["passed"] for c in data["checks"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--group", "2x2", "--function", "0,1,1,1"),
+    ("build", "--field-e", "2", "--alpha", "1"),
+    ("classify", "--field-e", "2", "--alpha", "1"),
+    ("search", "--group", "4"),
+    ("verify-paper",),
+])
+def test_json_reports_name_the_backend(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["backend"] == KERNEL_BACKEND in ("compiled", "pure-python")
 
 
 def test_verify_paper_injected_fault(capsys):

@@ -16,6 +16,8 @@ from semibiplane import (
     orbit_reduce,
     search_and_classify,
 )
+from semibiplane import _kernels_py
+from semibiplane.groups import add_table, sub_table
 from semibiplane.search import search_result_dict
 
 UNPRUNED = SearchOptions(use_pruning=False, use_fiber_limit=False)
@@ -83,6 +85,50 @@ def test_pruned_and_unpruned_agree(factors, fix_zero):
         assert r.count == results[0].count
 
 
+def unreduced_search(G, H, opts):
+    """One pure-kernel call per value of f(1), merged: no shift reduction."""
+    k = G.order
+    gadd, gsub, hsub = add_table(G), sub_table(G), sub_table(H)
+    visited, count, found = 0, 0, []
+    for r in range(k):
+        v, c, tables = _kernels_py.search_tables(
+            k, gadd, gsub, hsub, opts.fix_zero_at_zero, r, opts.use_pruning, opts.use_fiber_limit
+        )
+        visited, count = visited + v, count + c
+        found += tables
+    return visited, count, sorted(found)
+
+
+SHIFT_CASES = [
+    (g, g, fix_zero)
+    for g in ([2], [3], [4], [2, 2], [5], [6], [2, 3], [3, 2])
+    for fix_zero in (True, False)
+] + [([7], [7], True), ([4], [2, 2], True), ([2, 2], [4], True)]
+
+
+@pytest.mark.parametrize(
+    "gfac, hfac, fix_zero", SHIFT_CASES,
+    ids=[f"{'x'.join(map(str, g))}-{'x'.join(map(str, h))}-{'norm' if z else 'full'}"
+         for g, h, z in SHIFT_CASES],
+)
+def test_shift_reduction_matches_unreduced(gfac, hfac, fix_zero):
+    G, H = make_group(gfac), make_group(hfac)
+    for pruning in (False, True):
+        for fiber in (False, True):
+            opts = SearchOptions(
+                fix_zero_at_zero=fix_zero, use_pruning=pruning, use_fiber_limit=fiber
+            )
+            result = exhaustive_search(G, H, opts)
+            got = (result.visited, result.count, values_of(result))
+            assert got == unreduced_search(G, H, opts), opts
+
+
+def test_fiber_limit_cuts_leaves_only_at_k_5_and_7():
+    # a shift-reduced count that ignored the fiber limit would read 140 and 23,856
+    assert exhaustive_search(make_group([5]), make_group([5])).visited == 200
+    assert exhaustive_search(make_group([7]), make_group([7])).visited == 25032
+
+
 def test_visited_counts_unpruned(z6):
     norm = exhaustive_search(z6, z6, UNPRUNED)
     assert norm.visited == 6 ** 5 == 7776
@@ -147,6 +193,7 @@ def test_worker_reports_byte_identical(z6, z2z2):
         (z6, UNPRUNED, True),
         (z6, SearchOptions(fix_zero_at_zero=False), False),
         (z2z2, SearchOptions(), True),
+        (make_group([2, 3]), SearchOptions(fix_zero_at_zero=False), False),  # 3 shift classes
     ]:
         seq = exhaustive_search(G, G, opts, workers=1)
         par = exhaustive_search(G, G, opts, workers=3)
