@@ -158,7 +158,7 @@ def _cmd_search(args) -> int:
         max_order=args.max_order,
     )
     try:
-        result = exhaustive_search(G, G, opts, workers=args.workers)
+        result = exhaustive_search(G, G, opts)
     except SearchBudgetError as exc:
         raise UsageError(f"--max-order: {exc}") from None
     if args.json:
@@ -176,9 +176,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify_paper(args) -> int:
     try:
-        results = run_checks(
-            inject_fault=args.inject_fault, deep=args.deep, workers=args.workers
-        )
+        results = run_checks(inject_fault=args.inject_fault, deep=args.deep)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if args.json:
@@ -255,13 +253,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-results", type=int, help="store at most this many tables")
     p.add_argument("--max-order", type=int, default=SearchOptions().max_order,
                    help="search-budget guard on the group order")
-    p.add_argument("--workers", type=int, default=1)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("verify-paper", help="run the full verification checklist")
     p.add_argument("--deep", action="store_true", help="include the e=5 construction")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--inject-fault", help=argparse.SUPPRESS)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_verify_paper)

@@ -5,14 +5,13 @@ incremental difference-pair counts and backtracks the moment any count
 exceeds 2 (optionally also when a partial fiber exceeds k/2); the unpruned
 route enumerates every table and applies the direct checker, which makes the
 two routes independent implementations that must agree. Each searched value
-of f(1) is one shard, and shards merge in canonical order, so reports are
-identical for any worker count. The pruned route searches one f(1) per coset
-of H[n1] and rebuilds the other shards by homomorphism shifts (``_shifts``).
+of f(1) is one shard, and the found tables of all shards are sorted into
+lexicographic order. The pruned route searches one f(1) per coset of H[n1]
+and rebuilds the other shards by homomorphism shifts (``_shifts``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -53,7 +52,6 @@ def exhaustive_search(
     G: GroupSpec,
     H: GroupSpec,
     opts: SearchOptions | None = None,
-    workers: int = 1,
 ) -> SearchResult:
     """Search all tables f: G -> H (f(0) pinned to 0 when normalizing).
 
@@ -83,18 +81,14 @@ def exhaustive_search(
     chis = _shifts(G, H) if reduce else [(0,) * k]
     reps = sorted({min(hadd[s * k + chi[1]] for chi in chis) for s in range(k)})
 
-    def run_shard(shard_val: int):
-        return kernels.search_tables(
+    shards = [
+        kernels.search_tables(
             k, gadd, gsub, hsub,
             opts.fix_zero_at_zero, shard_val,
             opts.use_pruning, opts.use_fiber_limit,
         )
-
-    if workers <= 1:
-        shards = list(map(run_shard, reps))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            shards = list(pool.map(run_shard, reps))
+        for shard_val in reps
+    ]
 
     visited = sum(s[0] for s in shards) * len(chis)
     count = sum(s[1] for s in shards) * len(chis)
@@ -133,11 +127,10 @@ def search_and_classify(
     G: GroupSpec,
     H: GroupSpec,
     opts: SearchOptions | None = None,
-    workers: int = 1,
 ) -> list[tuple[FuncTable, str]]:
     """Search, then classify each found table's structure (connected /
     case-i / case-ii)."""
-    result = exhaustive_search(G, H, opts, workers)
+    result = exhaustive_search(G, H, opts)
     out = []
     for f in result.found:
         S = Structure(f)
@@ -177,16 +170,13 @@ def orbit_reduce(
     return [FuncTable(G, H, v) for v in sorted(reps)]
 
 
-def search_result_dict(
-    result: SearchResult, G: GroupSpec, normalized: bool, timing: bool = True
-) -> dict:
-    """JSON-ready dict; ``timing=False`` zeroes the elapsed field so reports
-    can be compared byte for byte across runs and worker counts."""
+def search_result_dict(result: SearchResult, G: GroupSpec, normalized: bool) -> dict:
+    """JSON-ready dict of the report that ``search --json`` prints."""
     return {
         "group": G.name,
         "normalized": normalized,
         "visited": result.visited,
         "count": result.count,
         "found": [format_table(f) for f in result.found],
-        "elapsed_ms": int(result.elapsed * 1000) if timing else 0,
+        "elapsed_ms": int(result.elapsed * 1000),
     }

@@ -227,6 +227,16 @@ def test_verify_paper_unknown_fault_name(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "--group", "4", "--workers", "2"),
+    ("verify-paper", "--workers", "2"),
+])
+def test_workers_flag_is_usage_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "--workers" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2

@@ -1,4 +1,3 @@
-import json
 import random
 from dataclasses import replace
 
@@ -16,9 +15,10 @@ from semibiplane import (
     orbit_reduce,
     search_and_classify,
 )
-from semibiplane import _kernels_py
+from semibiplane import _kernels_py, search
 from semibiplane.groups import add_table, sub_table
 from semibiplane.search import search_result_dict
+from semibiplane.verify import _check_worker_determinism
 
 UNPRUNED = SearchOptions(use_pruning=False, use_fiber_limit=False)
 
@@ -188,18 +188,12 @@ def test_max_results_truncates_list_not_count(z2z2):
     assert values_of(result) == oracles.brute_search([2, 2], [2, 2], True)[:5]
 
 
-def test_worker_reports_byte_identical(z6, z2z2):
-    for G, opts, normalized in [
-        (z6, UNPRUNED, True),
-        (z6, SearchOptions(fix_zero_at_zero=False), False),
-        (z2z2, SearchOptions(), True),
-        (make_group([2, 3]), SearchOptions(fix_zero_at_zero=False), False),  # 3 shift classes
-    ]:
-        seq = exhaustive_search(G, G, opts, workers=1)
-        par = exhaustive_search(G, G, opts, workers=3)
-        blob_seq = json.dumps(search_result_dict(seq, G, normalized, timing=False))
-        blob_par = json.dumps(search_result_dict(par, G, normalized, timing=False))
-        assert blob_seq == blob_par
+def test_shard_merge_check_fails_when_a_shift_is_dropped(monkeypatch):
+    assert _check_worker_determinism().passed
+    shifts = search._shifts
+    # without its last nonzero shift, one f(1) shard is neither searched nor rebuilt
+    monkeypatch.setattr(search, "_shifts", lambda G, H: shifts(G, H)[:-1])
+    assert not _check_worker_determinism().passed
 
 
 def test_search_result_dict_schema(z6):
