@@ -1,44 +1,13 @@
-"""Build script: compiles the optional hot-loop extension when Cython and a C
-compiler are available, otherwise installs pure Python only."""
+"""Build script: compiles the optional C kernels ``semibiplane._speedups``.
 
-import os
+Without a C compiler the build warns and the pure-Python kernels are used.
+"""
 
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
-
-
-class optional_build_ext(build_ext):
-    """Build the speedup extension on a best-effort basis."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # missing compiler, etc.
-            print(f"warning: skipping compiled kernels ({exc}); "
-                  "the pure-Python fallback will be used")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(f"warning: could not compile {ext.name} ({exc}); "
-                  "the pure-Python fallback will be used")
-
-
-ext_modules = []
-if not os.environ.get("SEMIBIPLANE_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("semibiplane._speedups", ["src/semibiplane/_speedups.pyx"])],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        print("warning: Cython not available; building without compiled kernels")
 
 setup(
-    ext_modules=ext_modules,
-    cmdclass={"build_ext": optional_build_ext},
+    ext_modules=[
+        Extension("semibiplane._speedups", ["src/semibiplane/_speedups.c"], optional=True)
+    ],
     package_dir={"": "src"},
 )

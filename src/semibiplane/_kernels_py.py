@@ -1,9 +1,11 @@
 """Pure-Python kernels for the hot loops.
 
-Interface-identical to the compiled module ``_speedups``; the dispatcher in
-``kernels`` picks whichever is available. All tables are flat row-major
-sequences: ``gadd[x * k + a]`` is ``x + a`` in G, ``hsub[u * k + w]`` is
-``u - w`` in H.
+Interface-identical to the C module ``_speedups``, which returns the same
+results and raises ValueError on tables of the wrong length or with entries
+outside [0, k); the dispatcher in ``kernels`` picks whichever is available.
+This twin is the reference the compiled kernels are tested against. All
+tables are flat row-major sequences: ``gadd[x * k + a]`` is ``x + a`` in G,
+``hsub[u * k + w]`` is ``u - w`` in H.
 """
 
 from itertools import product

@@ -1,7 +1,8 @@
 """Kernel backend selection.
 
-The compiled extension ``semibiplane._speedups`` is used when importable;
-otherwise the pure-Python kernels take over. Set the environment variable
+The C extension ``semibiplane._speedups`` (built by
+``python setup.py build_ext --inplace``) is used when importable; otherwise
+the pure-Python kernels take over. Set the environment variable
 ``SEMIBIPLANE_PURE=1`` before import to force the pure backend.
 """
 

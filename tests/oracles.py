@@ -8,6 +8,14 @@ from collections import Counter, deque
 from itertools import product
 
 
+#: (domain factors, codomain factors) for the oracle cross-checks
+ORACLE_GROUPS = [
+    ([6], [6]), ([2, 2], [2, 2]), ([8], [8]), ([2, 4], [2, 4]),
+    ([2, 2, 2], [2, 2, 2]), ([4, 4], [4, 4]), ([2], [4]), ([4], [2]),
+    ([4], [2, 2]), ([2, 2], [4]), ([2, 4], [2, 2, 2]),
+]
+
+
 def digits_of(index, factors):
     out = []
     for n in factors:
@@ -60,6 +68,17 @@ def is_semiplanar(values, gfac, hfac):
             if count not in (0, 2):
                 return False
     return True
+
+
+def first_witness(values, gfac, hfac):
+    """First (a, y, count) with count not in {0, 2}, smallest a then smallest
+    y; None when the table is semi-planar."""
+    for a in range(1, group_order(gfac)):
+        counts = delta_counts(values, gfac, hfac, a)
+        for y in sorted(counts):
+            if counts[y] != 2:
+                return (a, y, counts[y])
+    return None
 
 
 def solution_set(values, gfac, hfac, a, b):

@@ -124,14 +124,7 @@ def test_verify_axioms_gold21_disconnected(s_gold21):
     assert report.component_count == 2
 
 
-#: (domain factors, codomain factors) for the oracle cross-check
-ORACLE_GROUPS = [
-    ([6], [6]), ([2, 2], [2, 2]), ([8], [8]), ([2, 4], [2, 4]),
-    ([2, 2, 2], [2, 2, 2]), ([4, 4], [4, 4]), ([2], [4]), ([4], [2]),
-]
-
-
-@given(st.sampled_from(ORACLE_GROUPS), st.data())
+@given(st.sampled_from(oracles.ORACLE_GROUPS), st.data())
 @settings(max_examples=120, deadline=None)
 def test_verify_axioms_failure_matches_full_scan(groups, data):
     gfac, hfac = groups
@@ -213,7 +206,7 @@ def assert_components_match_oracle(values, gfac, hfac):
     return part.component_count
 
 
-@given(st.sampled_from(ORACLE_GROUPS), st.booleans(), st.data())
+@given(st.sampled_from(oracles.ORACLE_GROUPS), st.booleans(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_components_match_bfs_oracle(groups, narrow, data):
     gfac, hfac = groups

@@ -1,8 +1,14 @@
-"""Parity between the compiled kernels and the pure-Python fallback."""
+"""Parity between the compiled C kernels and the pure-Python twin.
+
+The compiled-parity tests skip when ``semibiplane._speedups`` is not built;
+``python setup.py build_ext --inplace`` builds it.
+"""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from semibiplane import _kernels_py, kernels
@@ -14,6 +20,15 @@ except ImportError:
     _speedups = None
 
 needs_speedups = pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")
+
+#: every kernel implementation that imports
+IMPLS = [impl for impl in (_kernels_py, _speedups) if impl is not None]
+
+#: (G, H) pairs of equal order for the search parity, G != H included
+SEARCH_GROUPS = [
+    ([2], [2]), ([4], [4]), ([2, 2], [2, 2]), ([6], [6]),
+    ([4], [2, 2]), ([2, 2], [4]),
+]
 
 
 def tables_for(factors):
@@ -46,6 +61,22 @@ def test_pure_witness_canonical_order():
     assert got == (1, 1, 6)
 
 
+@given(
+    st.sampled_from([(g, h) for g, h in oracles.ORACLE_GROUPS
+                     if oracles.group_order(g) == oracles.group_order(h)]),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_witness_matches_oracle_every_backend(groups, data):
+    gfac, hfac = groups
+    k = oracles.group_order(gfac)
+    values = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    gadd, hsub = add_table(make_group(gfac)), sub_table(make_group(hfac))
+    want = oracles.first_witness(values, gfac, hfac)
+    for impl in IMPLS:
+        assert impl.semiplanar_witness(values, gadd, hsub, k) == want
+
+
 @needs_speedups
 def test_witness_parity():
     rng = random.Random(3)
@@ -61,33 +92,61 @@ def test_witness_parity():
 
 
 @needs_speedups
-@pytest.mark.parametrize("factors", [[2], [4], [2, 2], [6]])
+@pytest.mark.parametrize("gfac, hfac", SEARCH_GROUPS)
 @pytest.mark.parametrize("fix_zero", [True, False])
 @pytest.mark.parametrize("use_pruning", [True, False])
 @pytest.mark.parametrize("use_fiber_limit", [True, False])
-def test_search_parity(factors, fix_zero, use_pruning, use_fiber_limit):
-    G = make_group(factors)
-    k = G.order
-    gadd, gsub = add_table(G), sub_table(G)
-    a = _kernels_py.search_tables(k, gadd, gsub, gsub, fix_zero, -1, use_pruning, use_fiber_limit)
-    b = _speedups.search_tables(k, gadd, gsub, gsub, fix_zero, -1, use_pruning, use_fiber_limit)
-    assert a[0] == b[0]
-    assert a[1] == b[1]
-    assert list(a[2]) == list(b[2])
+def test_search_parity(gfac, hfac, fix_zero, use_pruning, use_fiber_limit):
+    G, H = make_group(gfac), make_group(hfac)
+    args = (G.order, add_table(G), sub_table(G), sub_table(H), fix_zero, -1,
+            use_pruning, use_fiber_limit)
+    a = _kernels_py.search_tables(*args)
+    b = _speedups.search_tables(*args)
+    assert (a[0], a[1], list(a[2])) == (b[0], b[1], list(b[2]))
 
 
 @needs_speedups
-def test_search_parity_sharded():
-    G = make_group([4])
-    gadd, gsub = add_table(G), sub_table(G)
+@pytest.mark.parametrize("gfac, hfac", [([4], [4]), ([4], [2, 2]), ([2, 2], [4])])
+def test_search_parity_sharded(gfac, hfac):
+    G, H = make_group(gfac), make_group(hfac)
     for shard in range(4):
-        a = _kernels_py.search_tables(4, gadd, gsub, gsub, True, shard, True, True)
-        b = _speedups.search_tables(4, gadd, gsub, gsub, True, shard, True, True)
+        args = (4, add_table(G), sub_table(G), sub_table(H), True, shard, True, True)
+        a = _kernels_py.search_tables(*args)
+        b = _speedups.search_tables(*args)
         assert (a[0], a[1], list(a[2])) == (b[0], b[1], list(b[2]))
 
 
+@needs_speedups
+def test_search_parity_pruned_k8_shard():
+    k, gadd, gsub = tables_for([2, 4])
+    args = (k, gadd, gsub, gsub, True, 1, True, True)
+    a = _kernels_py.search_tables(*args)
+    b = _speedups.search_tables(*args)
+    assert (a[0], a[1], list(a[2])) == (b[0], b[1], list(b[2]))
+    assert (b[0], b[1]) == (28928, 128)
+
+
+@needs_speedups
+def test_compiled_kernels_reject_bad_input():
+    k, gadd, gsub = tables_for([4])
+    with pytest.raises(ValueError, match="length"):
+        _speedups.semiplanar_witness([0, 1, 2], gadd, gsub, k)
+    with pytest.raises(ValueError, match="length"):
+        _speedups.search_tables(k, gadd[:-1], gsub, gsub, True, -1, True, True)
+    with pytest.raises(ValueError, match="outside"):
+        _speedups.semiplanar_witness([0, 1, 2, 4], gadd, gsub, k)
+    with pytest.raises(ValueError, match="outside"):
+        _speedups.semiplanar_witness([0, 1, 2, 2 ** 70], gadd, gsub, k)
+    with pytest.raises(ValueError, match="outside"):
+        _speedups.search_tables(k, gadd, gsub, (-1,) + gsub[1:], True, -1, True, True)
+    with pytest.raises(ValueError, match="shard_val"):
+        _speedups.search_tables(k, gadd, gsub, gsub, True, k, True, True)
+    with pytest.raises(ValueError, match="k = 1"):
+        _speedups.search_tables(1, [0], [0], [0], True, -1, True, True)
+
+
 def test_shards_partition_the_space():
-    for impl in filter(None, (_kernels_py, _speedups)):
+    for impl in IMPLS:
         G = make_group([4])
         gadd, gsub = add_table(G), sub_table(G)
         whole = impl.search_tables(4, gadd, gsub, gsub, True, -1, False, False)
