@@ -16,6 +16,7 @@ from .functions import (
     equivalence_transform,
     fiber_sizes,
     format_table,
+    format_tables,
     is_automorphism,
     is_bijection,
     is_semiplanar,

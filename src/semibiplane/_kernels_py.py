@@ -6,6 +6,10 @@ outside [0, k); the dispatcher in ``kernels`` picks whichever is available.
 This twin is the reference the compiled kernels are tested against. All
 tables are flat row-major sequences: ``gadd[x * k + a]`` is ``x + a`` in G,
 ``hsub[u * k + w]`` is ``u - w`` in H.
+
+The three kernels are the semi-planarity witness, the search, and
+``shift_tables``, which rebuilds and sorts the shards that the shift-reduced
+search does not run.
 """
 
 from itertools import product
@@ -111,6 +115,19 @@ def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, use_fib
 
     dfs(0)
     return visited, count, found
+
+
+def shift_tables(k, hadd, shifts, tables):
+    """Every ``t + chi`` for each table t and each shift chi, added valuewise
+    in H (``hadd[u * k + w]`` is ``u + w``), as tuples in lexicographic
+    order."""
+    pairs = [(chi, any(chi)) for chi in shifts]
+    out = [
+        tuple([hadd[v * k + c] for v, c in zip(t, chi)]) if moved else tuple(t)
+        for t in tables for chi, moved in pairs
+    ]
+    out.sort()
+    return out
 
 
 def _enumerate_plain(k, gadd, hsub, fix_zero, shard_val):

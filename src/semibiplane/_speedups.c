@@ -1,5 +1,8 @@
 /* Compiled kernels for the hot loops; the interface and every result mirror
- * the pure-Python twin ``_kernels_py``, which documents the contract.
+ * the pure-Python twin ``_kernels_py``, which documents the contract. The
+ * three kernels are the semi-planarity witness, the search, and
+ * ``shift_tables``, which rebuilds the shift-reduced search's other shards
+ * and sorts them in one C array before any result tuple is made.
  *
  * Tables are flat row-major sequences of ints in [0, k): ``gadd[x * k + a]``
  * is x + a in G, ``gsub`` and ``hsub`` are the subtraction tables of G and H.
@@ -228,6 +231,98 @@ search_tables(PyObject *self, PyObject *args, PyObject *kwds)
     return result;
 }
 
+/* Row length for ``compare_rows``; qsort's comparator takes no context.
+ * Only ``shift_tables`` sets it, and it holds the GIL through the sort. */
+static int row_len;
+
+static int
+compare_rows(const void *pa, const void *pb)
+{
+    const int *a = pa, *b = pb;
+    for (int i = 0; i < row_len; i++)
+        if (a[i] != b[i])
+            return a[i] < b[i] ? -1 : 1;
+    return 0;
+}
+
+static PyObject *
+shift_tables(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"k", "hadd", "shifts", "tables", NULL};
+    PyObject *hadd_o, *shifts_o, *tables_o, *shifts, *tables, *result = NULL;
+    int k;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOOO", kwlist, &k, &hadd_o,
+                                     &shifts_o, &tables_o))
+        return NULL;
+    if (k < 1 || k > MAX_K)
+        return PyErr_Format(PyExc_ValueError, "k = %d is outside [1, %d]", k, MAX_K);
+    shifts = PySequence_Fast(shifts_o, "shifts must be a sequence");
+    if (shifts == NULL)
+        return NULL;
+    tables = PySequence_Fast(tables_o, "tables must be a sequence");
+    if (tables == NULL) {
+        Py_DECREF(shifts);
+        return NULL;
+    }
+    Py_ssize_t ns = PySequence_Fast_GET_SIZE(shifts);
+    Py_ssize_t nt = PySequence_Fast_GET_SIZE(tables);
+    size_t kk = (size_t)k * k;
+    int *buf = NULL;
+    /* k rows of hadd, ns shifts, one base table and ns * nt result rows, of
+     * k ints each: at most ``rows_max`` rows keep every index a Py_ssize_t */
+    size_t rows_max = (size_t)PY_SSIZE_T_MAX / sizeof(int) / k;
+    if (rows_max > (size_t)k + 1
+            && (size_t)ns <= (rows_max - k - 1) / ((size_t)nt + 1))
+        buf = malloc((kk + k * ((size_t)ns * nt + ns + 1)) * sizeof(int));
+    if (buf == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_ssize_t n = ns * nt;
+    int *hadd = buf, *chi = hadd + kk, *base = chi + (size_t)ns * k;
+    int *rows = base + k;
+    if (to_ints(hadd_o, kk, k, "hadd", hadd) < 0)
+        goto done;
+    for (Py_ssize_t j = 0; j < ns; j++)
+        if (to_ints(PySequence_Fast_GET_ITEM(shifts, j), k, k, "shift",
+                    chi + j * k) < 0)
+            goto done;
+    int *row = rows;
+    for (Py_ssize_t t = 0; t < nt; t++) {
+        if (to_ints(PySequence_Fast_GET_ITEM(tables, t), k, k, "table", base) < 0)
+            goto done;
+        for (Py_ssize_t j = 0; j < ns; j++, row += k)
+            for (int x = 0; x < k; x++)
+                row[x] = hadd[base[x] * k + chi[j * k + x]];
+    }
+    row_len = k;
+    qsort(rows, (size_t)n, (size_t)k * sizeof(int), compare_rows);
+    if ((result = PyList_New(n)) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *tup = PyTuple_New(k);
+        if (tup == NULL) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyList_SET_ITEM(result, i, tup);
+        for (int x = 0; x < k; x++) {
+            PyObject *v = PyLong_FromLong(rows[i * k + x]);
+            if (v == NULL) {
+                Py_CLEAR(result);
+                goto done;
+            }
+            PyTuple_SET_ITEM(tup, x, v);
+        }
+    }
+done:
+    free(buf);
+    Py_DECREF(shifts);
+    Py_DECREF(tables);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"semiplanar_witness", (PyCFunction)(void (*)(void))semiplanar_witness,
      METH_VARARGS | METH_KEYWORDS,
@@ -240,6 +335,11 @@ static PyMethodDef methods[] = {
      "use_fiber_limit)\n--\n\n"
      "Enumerate value tables of length k in lexicographic order; returns\n"
      "(visited, count, found). See the pure-Python twin for the contract."},
+    {"shift_tables", (PyCFunction)(void (*)(void))shift_tables,
+     METH_VARARGS | METH_KEYWORDS,
+     "shift_tables(k, hadd, shifts, tables)\n--\n\n"
+     "Every t + chi for each table t and each shift chi, as tuples in\n"
+     "lexicographic order. See the pure-Python twin for the contract."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import SearchBudgetError, TableParseError
-from .functions import FuncTable, format_table, is_semiplanar, parse_table
+from .functions import FuncTable, format_table, format_tables, is_semiplanar, parse_table
 from .gf2 import gold_table, inverse_table
 from .groups import GroupSpec, make_group
 from .incidence import Structure, axiom_report_dict, components, export_dot, verify_axioms
@@ -169,7 +169,7 @@ def _cmd_search(args) -> int:
             f"visited={result.visited} count={result.count} "
             f"elapsed={result.elapsed * 1000:.1f}ms"
         ]
-        lines.extend(format_table(f) for f in result.found)
+        lines.extend(format_tables(result.values, result.domain.order))
         _emit("\n".join(lines), args.out)
     return 0
 

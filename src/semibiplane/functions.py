@@ -188,3 +188,10 @@ def parse_table(text: str, domain: GroupSpec, codomain: GroupSpec) -> FuncTable:
 def format_table(f: FuncTable) -> str:
     """Inverse of ``parse_table``: comma-separated values, no spaces."""
     return ",".join(str(v) for v in f.values)
+
+
+def format_tables(tables: Iterable[tuple[int, ...]], k: int) -> list[str]:
+    """The ``format_table`` text of each value tuple of length k, without
+    building a ``FuncTable`` per table."""
+    line = ",".join(["%d"] * k)
+    return [line % t for t in tables]

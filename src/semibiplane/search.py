@@ -5,19 +5,23 @@ incremental difference-pair counts and backtracks the moment any count
 exceeds 2 (optionally also when a partial fiber exceeds k/2); the unpruned
 route enumerates every table and applies the direct checker, which makes the
 two routes independent implementations that must agree. Each searched value
-of f(1) is one shard, and the found tables of all shards are sorted into
-lexicographic order. The pruned route searches one f(1) per coset of H[n1]
-and rebuilds the other shards by homomorphism shifts (``_shifts``).
+of f(1) is one shard. The pruned route searches one f(1) per coset of H[n1]
+and rebuilds the other shards by homomorphism shifts (``_shifts``). The
+``kernels.shift_tables`` kernel does that rebuild and sorts the found tables
+of all shards into lexicographic order, and the result keeps them as plain
+value tuples: ``FuncTable`` objects are built only when ``found`` is read,
+and ``functions.format_tables`` writes the report lines from the tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from time import perf_counter
 
 from . import kernels
 from .errors import SearchBudgetError
-from .functions import FuncTable, format_table
+from .functions import FuncTable, format_tables
 from .groups import GroupSpec, add_table, automorphisms, sub_table
 from .incidence import Structure, components
 from .splitting import classify_split
@@ -38,14 +42,44 @@ class SearchOptions:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """What ``exhaustive_search`` returns.
+
+    ``values`` holds the stored semi-planar tables as value tuples over
+    ``domain`` -> ``codomain``, in lexicographic order. ``found`` is the same
+    list as ``FuncTable`` objects; it is built on first read and then kept.
+    Construction checks every stored table's length and range, as
+    ``FuncTable`` would.
+    """
+
     visited: int
     count: int
-    found: tuple[FuncTable, ...]
+    values: tuple[tuple[int, ...], ...]
     elapsed: float
+    domain: GroupSpec
+    codomain: GroupSpec
 
     def __post_init__(self):
-        if self.count < len(self.found):
+        if self.count < len(self.values):
             raise ValueError("count cannot be smaller than the stored table list")
+        if not self.values:
+            return
+        k, n = self.domain.order, self.codomain.order
+        lengths = set(map(len, self.values))
+        if lengths != {k}:
+            bad = min(lengths - {k})
+            raise ValueError(
+                f"a stored table has {bad} entries, domain {self.domain.name} has order {k}"
+            )
+        bad = set().union(*self.values).difference(range(n))
+        if bad:
+            raise ValueError(
+                f"a stored table has entry {min(bad, key=repr)!r}, "
+                f"not a valid {self.codomain.name} index"
+            )
+
+    @cached_property
+    def found(self) -> tuple[FuncTable, ...]:
+        return tuple(FuncTable(self.domain, self.codomain, v) for v in self.values)
 
 
 def exhaustive_search(
@@ -55,10 +89,10 @@ def exhaustive_search(
 ) -> SearchResult:
     """Search all tables f: G -> H (f(0) pinned to 0 when normalizing).
 
-    ``found`` lists the semi-planar tables in lexicographic order, truncated
-    at ``max_results``; ``count`` is always the full number found. ``visited``
-    counts complete assignments examined, so with pruning disabled it equals
-    the whole enumeration size.
+    ``values`` (and ``found``) list the semi-planar tables in lexicographic
+    order, truncated at ``max_results``; ``count`` is always the full number
+    found. ``visited`` counts complete assignments examined, so with pruning
+    disabled it equals the whole enumeration size.
     """
     opts = opts or SearchOptions()
     if G.order != H.order:
@@ -92,15 +126,10 @@ def exhaustive_search(
 
     visited = sum(s[0] for s in shards) * len(chis)
     count = sum(s[1] for s in shards) * len(chis)
-    values = [
-        tuple([hadd[v * k + c] for v, c in zip(t, chi)]) if chi[1] else t
-        for s in shards for t in s[2] for chi in chis
-    ]
-    values.sort()
+    values = kernels.shift_tables(k, hadd, chis, [t for s in shards for t in s[2]])
     if opts.max_results is not None:
         values = values[: opts.max_results]
-    found = tuple(FuncTable(G, H, tuple(v)) for v in values)
-    return SearchResult(visited, count, found, perf_counter() - t0)
+    return SearchResult(visited, count, tuple(values), perf_counter() - t0, G, H)
 
 
 def _shifts(G: GroupSpec, H: GroupSpec) -> list[tuple[int, ...]]:
@@ -177,6 +206,6 @@ def search_result_dict(result: SearchResult, G: GroupSpec, normalized: bool) -> 
         "normalized": normalized,
         "visited": result.visited,
         "count": result.count,
-        "found": [format_table(f) for f in result.found],
+        "found": format_tables(result.values, result.domain.order),
         "elapsed_ms": int(result.elapsed * 1000),
     }

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import gcd
 
 from .functions import (
@@ -34,7 +35,7 @@ from .incidence import (
     is_hypercube_graph,
     verify_axioms,
 )
-from .search import SearchOptions, exhaustive_search
+from .search import SearchOptions, SearchResult, exhaustive_search
 from .splitting import (
     KIND_CASE_I,
     KIND_CASE_II,
@@ -59,6 +60,14 @@ def _unpruned(fix_zero: bool) -> SearchOptions:
     return SearchOptions(
         fix_zero_at_zero=fix_zero, use_pruning=False, use_fiber_limit=False
     )
+
+
+@lru_cache(maxsize=None)
+def _z6_search(opts: SearchOptions) -> SearchResult:
+    """Search over Z6 -> Z6, shared by the checks that ask for the same
+    options; ``run_checks`` clears it so each run searches afresh."""
+    z6 = make_group([6])
+    return exhaustive_search(z6, z6, opts)
 
 
 def _check_gold_family() -> CheckResult:
@@ -124,17 +133,16 @@ def _check_hypercube() -> CheckResult:
 
 
 def _check_z6() -> CheckResult:
-    z6 = make_group([6])
     name = "z6-nonexistence"
-    norm = exhaustive_search(z6, z6, _unpruned(True))
-    full = exhaustive_search(z6, z6, _unpruned(False))
+    norm = _z6_search(_unpruned(True))
+    full = _z6_search(_unpruned(False))
     if norm.visited != 7776 or full.visited != 46656:
         return CheckResult(
             name, False,
             f"unpruned enumerations visited {norm.visited}/{full.visited}, expected 7776/46656",
         )
-    pruned_norm = exhaustive_search(z6, z6, SearchOptions())
-    pruned_full = exhaustive_search(z6, z6, SearchOptions(fix_zero_at_zero=False))
+    pruned_norm = _z6_search(SearchOptions())
+    pruned_full = _z6_search(SearchOptions(fix_zero_at_zero=False))
     counts = (norm.count, full.count, pruned_norm.count, pruned_full.count)
     if counts != (0, 0, 0, 0):
         return CheckResult(name, False, f"searches found {counts} semi-planar tables")
@@ -272,7 +280,7 @@ def _check_transform_closure() -> CheckResult:
         f = make_table(z6, z6, values)
         if not is_semiplanar(f).is_semiplanar:
             tables.append(f)
-    tables.extend(exhaustive_search(z6, z6).found)  # none exist over Z6
+    tables.extend(_z6_search(SearchOptions()).found)  # none exist over Z6
     auts = automorphisms(z6)
     for f in tables:
         verdict = is_semiplanar(f).is_semiplanar
@@ -294,15 +302,14 @@ def _check_transform_closure() -> CheckResult:
 
 def _check_fiber_limit() -> CheckResult:
     name = "fiber-limit-soundness"
-    z6 = make_group([6])
     for fix_zero in (True, False):
         for pruning in (True, False):
             base = SearchOptions(
                 fix_zero_at_zero=fix_zero, use_pruning=pruning, use_fiber_limit=False
             )
-            without = exhaustive_search(z6, z6, base)
-            with_limit = exhaustive_search(z6, z6, replace(base, use_fiber_limit=True))
-            if [f.values for f in without.found] != [f.values for f in with_limit.found]:
+            without = _z6_search(base)
+            with_limit = _z6_search(replace(base, use_fiber_limit=True))
+            if without.values != with_limit.values:
                 return CheckResult(
                     name, False, f"fiber limit changed results (fix_zero={fix_zero})"
                 )
@@ -352,7 +359,11 @@ def run_checks(inject_fault: str | None = None, deep: bool = False) -> list[Chec
         lambda: _check_fiber_limit(),
         lambda: _check_worker_determinism(),
     ]
-    results = [p() for p in producers]
+    _z6_search.cache_clear()
+    try:
+        results = [p() for p in producers]
+    finally:
+        _z6_search.cache_clear()
     if inject_fault is not None:
         names = {r.name for r in results}
         if inject_fault not in names:

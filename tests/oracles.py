@@ -104,6 +104,14 @@ def brute_search(gfac, hfac, fix_zero):
     return [t for t in all_tables(k, fix_zero) if is_semiplanar(t, gfac, hfac)]
 
 
+def shifted_tables(hfac, shifts, tables):
+    """Every t + chi for each table t and each shift chi, added entry by
+    entry in H, in lexicographic order."""
+    return sorted(
+        tuple(add(hfac, v, c) for v, c in zip(t, chi)) for t in tables for chi in shifts
+    )
+
+
 def incident(values, gfac, hfac, point, line):
     nh = group_order(hfac)
     x, y = divmod(point, nh)

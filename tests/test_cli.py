@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from semibiplane import KERNEL_BACKEND
+from semibiplane import KERNEL_BACKEND, SearchOptions, exhaustive_search, format_table, make_group
 from semibiplane.cli import main
 
 
@@ -121,6 +121,33 @@ def test_search_v4(capsys):
     data = json.loads(out)
     assert data["count"] == 48
     assert "0,1,1,1" in data["found"]
+
+
+@pytest.mark.parametrize("group, normalize", [("2x4", True), ("2x2", False)])
+def test_search_prints_format_table_of_every_found_table(capsys, group, normalize):
+    G = make_group([int(n) for n in group.split("x")])
+    result = exhaustive_search(G, G, SearchOptions(fix_zero_at_zero=normalize))
+    want = [format_table(f) for f in result.found]
+    assert len(want) == result.count > 0
+    flags = ("--group", group) + (() if normalize else ("--no-normalize",))
+
+    code, out, _ = run(capsys, "search", *flags)
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header.startswith(
+        f"group={G.name} normalized={normalize} visited={result.visited} "
+        f"count={result.count} elapsed="
+    )
+    assert lines == want
+
+    code, out, _ = run(capsys, "search", *flags, "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data.pop("elapsed_ms") >= 0
+    assert data == {
+        "group": G.name, "normalized": normalize, "visited": result.visited,
+        "count": result.count, "found": want, "backend": KERNEL_BACKEND,
+    }
 
 
 def test_search_budget(capsys):

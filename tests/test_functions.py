@@ -13,6 +13,7 @@ from semibiplane import (
     equivalence_transform,
     fiber_sizes,
     format_table,
+    format_tables,
     gold_table,
     inverse_table,
     is_automorphism,
@@ -279,6 +280,14 @@ def test_parse_format_roundtrip(z6):
     assert format_table(f) == "0,0,2,2,4,0"
     assert parse_table(format_table(f), z6, z6) == f
     assert parse_table(" 0, 0,2,2,4,0 \n", z6, z6) == f
+
+
+def test_format_tables_matches_format_table():
+    G = make_group([4, 4])
+    rng = random.Random(5)
+    tables = [tuple(rng.randrange(16) for _ in range(16)) for _ in range(20)]
+    assert format_tables(tables, 16) == [format_table(make_table(G, G, t)) for t in tables]
+    assert format_tables([], 16) == []
 
 
 def test_parse_errors(z6):

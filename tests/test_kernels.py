@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from semibiplane import _kernels_py, kernels
 from semibiplane.groups import add_table, make_group, sub_table
+from semibiplane.search import _shifts
 
 try:
     from semibiplane import _speedups
@@ -23,6 +24,12 @@ needs_speedups = pytest.mark.skipif(_speedups is None, reason="compiled kernels 
 
 #: every kernel implementation that imports
 IMPLS = [impl for impl in (_kernels_py, _speedups) if impl is not None]
+
+#: (G, H) oracle pairs of equal order, G != H included
+EQUAL_ORDER_GROUPS = [
+    (g, h) for g, h in oracles.ORACLE_GROUPS
+    if oracles.group_order(g) == oracles.group_order(h)
+]
 
 #: (G, H) pairs of equal order for the search parity, G != H included
 SEARCH_GROUPS = [
@@ -61,11 +68,24 @@ def test_pure_witness_canonical_order():
     assert got == (1, 1, 6)
 
 
-@given(
-    st.sampled_from([(g, h) for g, h in oracles.ORACLE_GROUPS
-                     if oracles.group_order(g) == oracles.group_order(h)]),
-    st.data(),
-)
+def public_kernels(module):
+    return sorted(
+        name for name, obj in vars(module).items()
+        if not name.startswith("_") and callable(obj)
+        and getattr(obj, "__module__", module.__name__) == module.__name__
+    )
+
+
+def test_backends_export_the_same_kernels():
+    names = public_kernels(_kernels_py)
+    assert names == ["search_tables", "semiplanar_witness", "shift_tables"]
+    if _speedups is not None:
+        assert public_kernels(_speedups) == names
+    for name in names:
+        assert getattr(kernels, name) is getattr(kernels._impl, name)
+
+
+@given(st.sampled_from(EQUAL_ORDER_GROUPS), st.data())
 @settings(max_examples=150, deadline=None)
 def test_witness_matches_oracle_every_backend(groups, data):
     gfac, hfac = groups
@@ -75,6 +95,49 @@ def test_witness_matches_oracle_every_backend(groups, data):
     want = oracles.first_witness(values, gfac, hfac)
     for impl in IMPLS:
         assert impl.semiplanar_witness(values, gadd, hsub, k) == want
+
+
+@given(st.sampled_from(EQUAL_ORDER_GROUPS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_shift_tables_match_oracle_every_backend(groups, data):
+    gfac, hfac = groups
+    G, H = make_group(gfac), make_group(hfac)
+    k = G.order
+    table = st.lists(st.integers(0, k - 1), min_size=k, max_size=k).map(tuple)
+    tables = data.draw(st.lists(table, max_size=6))
+    shifts = _shifts(G, H)
+    want = oracles.shifted_tables(hfac, shifts, tables)
+    for impl in IMPLS:
+        assert impl.shift_tables(k, add_table(H), shifts, tables) == want
+
+
+def test_shift_tables_of_no_tables_is_empty():
+    G = make_group([2, 4])
+    for impl in IMPLS:
+        assert impl.shift_tables(8, add_table(G), _shifts(G, G), []) == []
+
+
+@needs_speedups
+def test_compiled_shift_tables_reject_bad_input():
+    G = make_group([4])
+    k, hadd, shifts = 4, add_table(G), _shifts(G, G)
+    table = (0, 1, 2, 3)
+    with pytest.raises(ValueError, match="table has length 3"):
+        _speedups.shift_tables(k, hadd, shifts, [table, (0, 1, 2)])
+    with pytest.raises(ValueError, match="shift has length 5"):
+        _speedups.shift_tables(k, hadd, shifts + [(0,) * 5], [table])
+    with pytest.raises(ValueError, match="hadd has length"):
+        _speedups.shift_tables(k, hadd[:-1], shifts, [table])
+    with pytest.raises(ValueError, match="outside"):
+        _speedups.shift_tables(k, hadd, shifts, [(0, 1, 2, 4)])
+    with pytest.raises(ValueError, match="outside"):
+        _speedups.shift_tables(k, hadd, shifts, [(0, -1, 2, 3)])
+    with pytest.raises(ValueError, match="outside"):
+        _speedups.shift_tables(k, hadd, [(0, 1, 2, 2 ** 70)], [table])
+    with pytest.raises(ValueError, match="k = 0"):
+        _speedups.shift_tables(0, [], [], [])
+    with pytest.raises(ValueError, match="k = 46341"):
+        _speedups.shift_tables(46341, [], [], [])
 
 
 @needs_speedups

@@ -5,8 +5,10 @@ import pytest
 
 import oracles
 from semibiplane import (
+    FuncTable,
     SearchBudgetError,
     SearchOptions,
+    SearchResult,
     UnsupportedGroupError,
     exhaustive_search,
     is_semiplanar,
@@ -15,7 +17,7 @@ from semibiplane import (
     orbit_reduce,
     search_and_classify,
 )
-from semibiplane import _kernels_py, search
+from semibiplane import _kernels_py, search, verify
 from semibiplane.groups import add_table, sub_table
 from semibiplane.search import search_result_dict
 from semibiplane.verify import _check_worker_determinism
@@ -188,12 +190,63 @@ def test_max_results_truncates_list_not_count(z2z2):
     assert values_of(result) == oracles.brute_search([2, 2], [2, 2], True)[:5]
 
 
+def test_found_is_built_lazily_from_values():
+    G, H = make_group([2, 4]), make_group([2, 4])
+    result = exhaustive_search(G, H)
+    assert "found" not in vars(result)
+    assert len(result.values) == result.count == 1024
+    assert result.found == tuple(FuncTable(G, H, v) for v in result.values)
+    assert result.found is result.found
+
+
+@pytest.mark.parametrize("cap", [0, 1, 7, 48, 100])
+def test_max_results_keeps_the_sorted_prefix(z2z2, cap):
+    full = exhaustive_search(z2z2, z2z2, SearchOptions(fix_zero_at_zero=False))
+    assert list(full.values) == sorted(full.values)
+    capped = exhaustive_search(
+        z2z2, z2z2, SearchOptions(fix_zero_at_zero=False, max_results=cap)
+    )
+    assert capped.values == full.values[:cap]
+    assert capped.count == full.count == 192
+
+
+@pytest.mark.parametrize("values, match", [
+    (((0, 1, 2, 4),), "entry 4"),
+    (((0, 1, 2, -1),), "entry -1"),
+    (((0, 1, 2, 3), (0, 1, 2)), "3 entries"),
+    (((0, 1, 2, 3, 0),), "5 entries"),
+])
+def test_search_result_rejects_bad_tables(z4, values, match):
+    with pytest.raises(ValueError, match=match):
+        SearchResult(0, len(values), values, 0.0, z4, z4)
+
+
+def test_search_result_rejects_count_below_stored(z4):
+    with pytest.raises(ValueError, match="count"):
+        SearchResult(0, 0, ((0, 1, 0, 3),), 0.0, z4, z4)
+
+
 def test_shard_merge_check_fails_when_a_shift_is_dropped(monkeypatch):
     assert _check_worker_determinism().passed
     shifts = search._shifts
     # without its last nonzero shift, one f(1) shard is neither searched nor rebuilt
     monkeypatch.setattr(search, "_shifts", lambda G, H: shifts(G, H)[:-1])
     assert not _check_worker_determinism().passed
+
+
+def test_verify_runs_each_z6_search_once_per_run(monkeypatch):
+    calls = []
+    real = verify.exhaustive_search
+
+    def spy(G, H, opts=None):
+        calls.append((G.name, opts))
+        return real(G, H, opts)
+
+    monkeypatch.setattr(verify, "exhaustive_search", spy)
+    assert all(r.passed for r in verify.run_checks())
+    z6 = [opts for name, opts in calls if name == "Z6"]
+    assert len(z6) == len(set(z6)) == 8
+    assert verify._z6_search.cache_info().currsize == 0
 
 
 def test_search_result_dict_schema(z6):
