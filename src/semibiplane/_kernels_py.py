@@ -7,9 +7,10 @@ This twin is the reference the compiled kernels are tested against. All
 tables are flat row-major sequences: ``gadd[x * k + a]`` is ``x + a`` in G,
 ``hsub[u * k + w]`` is ``u - w`` in H.
 
-The three kernels are the semi-planarity witness, the search, and
+The four kernels are the semi-planarity witness, the search,
 ``shift_tables``, which rebuilds and sorts the shards that the shift-reduced
-search does not run.
+search does not run, and ``format_tables``, which writes the report line of
+each found table.
 """
 
 from itertools import product
@@ -128,6 +129,13 @@ def shift_tables(k, hadd, shifts, tables):
     ]
     out.sort()
     return out
+
+
+def format_tables(tables, k):
+    """The comma-separated decimal line of each value table of length k, as
+    ``functions.format_table`` writes it."""
+    line = ",".join(["%d"] * k)
+    return [line % t for t in tables]
 
 
 def _enumerate_plain(k, gadd, hsub, fix_zero, shard_val):

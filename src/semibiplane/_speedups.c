@@ -1,8 +1,9 @@
 /* Compiled kernels for the hot loops; the interface and every result mirror
  * the pure-Python twin ``_kernels_py``, which documents the contract. The
- * three kernels are the semi-planarity witness, the search, and
+ * four kernels are the semi-planarity witness, the search,
  * ``shift_tables``, which rebuilds the shift-reduced search's other shards
- * and sorts them in one C array before any result tuple is made.
+ * and radix-sorts them in one C array before any result tuple is made, and
+ * ``format_tables``, which writes each table's comma-separated decimal line.
  *
  * Tables are flat row-major sequences of ints in [0, k): ``gadd[x * k + a]``
  * is x + a in G, ``gsub`` and ``hsub`` are the subtraction tables of G and H.
@@ -231,20 +232,6 @@ search_tables(PyObject *self, PyObject *args, PyObject *kwds)
     return result;
 }
 
-/* Row length for ``compare_rows``; qsort's comparator takes no context.
- * Only ``shift_tables`` sets it, and it holds the GIL through the sort. */
-static int row_len;
-
-static int
-compare_rows(const void *pa, const void *pb)
-{
-    const int *a = pa, *b = pb;
-    for (int i = 0; i < row_len; i++)
-        if (a[i] != b[i])
-            return a[i] < b[i] ? -1 : 1;
-    return 0;
-}
-
 static PyObject *
 shift_tables(PyObject *self, PyObject *args, PyObject *kwds)
 {
@@ -269,13 +256,17 @@ shift_tables(PyObject *self, PyObject *args, PyObject *kwds)
     Py_ssize_t nt = PySequence_Fast_GET_SIZE(tables);
     size_t kk = (size_t)k * k;
     int *buf = NULL;
+    Py_ssize_t *idx = NULL;
     /* k rows of hadd, ns shifts, one base table and ns * nt result rows, of
-     * k ints each: at most ``rows_max`` rows keep every index a Py_ssize_t */
-    size_t rows_max = (size_t)PY_SSIZE_T_MAX / sizeof(int) / k;
+     * k ints and two sort indices each: at most ``rows_max`` rows keep every
+     * size a Py_ssize_t */
+    size_t rows_max = (size_t)PY_SSIZE_T_MAX / (k * sizeof(int) + 2 * sizeof(Py_ssize_t));
     if (rows_max > (size_t)k + 1
-            && (size_t)ns <= (rows_max - k - 1) / ((size_t)nt + 1))
+            && (size_t)ns <= (rows_max - k - 1) / ((size_t)nt + 1)) {
         buf = malloc((kk + k * ((size_t)ns * nt + ns + 1)) * sizeof(int));
-    if (buf == NULL) {
+        idx = malloc((2 * (size_t)ns * nt + k + 1) * sizeof(Py_ssize_t));
+    }
+    if (buf == NULL || idx == NULL) {
         PyErr_NoMemory();
         goto done;
     }
@@ -296,8 +287,23 @@ shift_tables(PyObject *self, PyObject *args, PyObject *kwds)
             for (int x = 0; x < k; x++)
                 row[x] = hadd[base[x] * k + chi[j * k + x]];
     }
-    row_len = k;
-    qsort(rows, (size_t)n, (size_t)k * sizeof(int), compare_rows);
+    /* LSD radix sort of the row indices: one stable counting sort per
+     * column, last column first, with k buckets each, O(k * (n + k)). */
+    Py_ssize_t *order = idx, *spare = idx + n, *start = spare + n;
+    for (Py_ssize_t i = 0; i < n; i++)
+        order[i] = i;
+    for (int c = k - 1; c >= 0; c--) {
+        memset(start, 0, ((size_t)k + 1) * sizeof(Py_ssize_t));
+        for (Py_ssize_t i = 0; i < n; i++)
+            start[rows[i * k + c] + 1]++;
+        for (int v = 0; v < k; v++)
+            start[v + 1] += start[v];
+        for (Py_ssize_t i = 0; i < n; i++)
+            spare[start[rows[order[i] * k + c]]++] = order[i];
+        Py_ssize_t *sorted = spare;
+        spare = order;
+        order = sorted;
+    }
     if ((result = PyList_New(n)) == NULL)
         goto done;
     for (Py_ssize_t i = 0; i < n; i++) {
@@ -307,8 +313,9 @@ shift_tables(PyObject *self, PyObject *args, PyObject *kwds)
             goto done;
         }
         PyList_SET_ITEM(result, i, tup);
+        row = rows + order[i] * k;
         for (int x = 0; x < k; x++) {
-            PyObject *v = PyLong_FromLong(rows[i * k + x]);
+            PyObject *v = PyLong_FromLong(row[x]);
             if (v == NULL) {
                 Py_CLEAR(result);
                 goto done;
@@ -318,7 +325,63 @@ shift_tables(PyObject *self, PyObject *args, PyObject *kwds)
     }
 done:
     free(buf);
+    free(idx);
     Py_DECREF(shifts);
+    Py_DECREF(tables);
+    return result;
+}
+
+static PyObject *
+format_tables(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"tables", "k", NULL};
+    PyObject *tables_o, *tables, *result = NULL;
+    int k;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "Oi", kwlist, &tables_o, &k))
+        return NULL;
+    if (k < 1 || k > MAX_K)
+        return PyErr_Format(PyExc_ValueError, "k = %d is outside [1, %d]", k, MAX_K);
+    tables = PySequence_Fast(tables_o, "tables must be a sequence");
+    if (tables == NULL)
+        return NULL;
+    Py_ssize_t nt = PySequence_Fast_GET_SIZE(tables);
+    /* k values and a line of at most 5 digits and a comma per value */
+    int *vals = malloc((size_t)k * (sizeof(int) + 6));
+    if (vals == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    char *line = (char *)(vals + k);
+    if ((result = PyList_New(nt)) == NULL)
+        goto done;
+    for (Py_ssize_t t = 0; t < nt; t++) {
+        if (to_ints(PySequence_Fast_GET_ITEM(tables, t), k, k, "table", vals) < 0) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        char *p = line;
+        for (int x = 0; x < k; x++) {
+            char digits[5];
+            int nd = 0, v = vals[x];
+            do {
+                digits[nd++] = (char)('0' + v % 10);
+                v /= 10;
+            } while (v);
+            while (nd)
+                *p++ = digits[--nd];
+            *p++ = ',';
+        }
+        PyObject *str = PyUnicode_New(p - line - 1, 127);
+        if (str == NULL) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        memcpy(PyUnicode_1BYTE_DATA(str), line, p - line - 1);
+        PyList_SET_ITEM(result, t, str);
+    }
+done:
+    free(vals);
     Py_DECREF(tables);
     return result;
 }
@@ -340,6 +403,11 @@ static PyMethodDef methods[] = {
      "shift_tables(k, hadd, shifts, tables)\n--\n\n"
      "Every t + chi for each table t and each shift chi, as tuples in\n"
      "lexicographic order. See the pure-Python twin for the contract."},
+    {"format_tables", (PyCFunction)(void (*)(void))format_tables,
+     METH_VARARGS | METH_KEYWORDS,
+     "format_tables(tables, k)\n--\n\n"
+     "The comma-separated decimal line of each value table of length k.\n"
+     "See the pure-Python twin for the contract."},
     {NULL, NULL, 0, NULL},
 };
 

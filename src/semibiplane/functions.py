@@ -192,6 +192,5 @@ def format_table(f: FuncTable) -> str:
 
 def format_tables(tables: Iterable[tuple[int, ...]], k: int) -> list[str]:
     """The ``format_table`` text of each value tuple of length k, without
-    building a ``FuncTable`` per table."""
-    line = ",".join(["%d"] * k)
-    return [line % t for t in tables]
+    building a ``FuncTable`` per table; ``kernels.format_tables`` writes it."""
+    return kernels.format_tables(tables, k)

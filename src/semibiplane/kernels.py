@@ -24,3 +24,4 @@ BACKEND: str = "compiled" if _impl is not _kernels_py else "pure-python"
 semiplanar_witness = _impl.semiplanar_witness
 search_tables = _impl.search_tables
 shift_tables = _impl.shift_tables
+format_tables = _impl.format_tables

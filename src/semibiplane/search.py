@@ -10,7 +10,8 @@ and rebuilds the other shards by homomorphism shifts (``_shifts``). The
 ``kernels.shift_tables`` kernel does that rebuild and sorts the found tables
 of all shards into lexicographic order, and the result keeps them as plain
 value tuples: ``FuncTable`` objects are built only when ``found`` is read,
-and ``functions.format_tables`` writes the report lines from the tuples.
+and ``functions.format_tables`` writes the report lines from the tuples
+through the ``kernels.format_tables`` kernel.
 """
 
 from __future__ import annotations

@@ -1,17 +1,22 @@
 """Parity between the compiled C kernels and the pure-Python twin.
 
 The compiled-parity tests skip when ``semibiplane._speedups`` is not built;
-``python setup.py build_ext --inplace`` builds it.
+``python setup.py build_ext --inplace`` builds it. A lint test compiles the C
+source with ``gcc -Wall -Werror`` and skips without gcc or ``Python.h``.
 """
 
 import random
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from semibiplane import _kernels_py, kernels
+from semibiplane import _kernels_py, format_table, kernels, make_table
 from semibiplane.groups import add_table, make_group, sub_table
 from semibiplane.search import _shifts
 
@@ -78,7 +83,7 @@ def public_kernels(module):
 
 def test_backends_export_the_same_kernels():
     names = public_kernels(_kernels_py)
-    assert names == ["search_tables", "semiplanar_witness", "shift_tables"]
+    assert names == ["format_tables", "search_tables", "semiplanar_witness", "shift_tables"]
     if _speedups is not None:
         assert public_kernels(_speedups) == names
     for name in names:
@@ -97,18 +102,38 @@ def test_witness_matches_oracle_every_backend(groups, data):
         assert impl.semiplanar_witness(values, gadd, hsub, k) == want
 
 
+@st.composite
+def crowded_tables(draw, k):
+    """Up to 300 tables of length k spliced from a pool of at most 6: many
+    duplicates and many shared prefixes, which is what a sort must order."""
+    value_table = st.lists(st.integers(0, k - 1), min_size=k, max_size=k).map(tuple)
+    pool = draw(st.lists(value_table, min_size=1, max_size=6))
+    index = st.integers(0, len(pool) - 1)
+    splices = draw(st.lists(st.tuples(index, index, st.integers(0, k)), max_size=300))
+    return [pool[i][:cut] + pool[j][cut:] for i, j, cut in splices]
+
+
 @given(st.sampled_from(EQUAL_ORDER_GROUPS), st.data())
 @settings(max_examples=100, deadline=None)
 def test_shift_tables_match_oracle_every_backend(groups, data):
     gfac, hfac = groups
     G, H = make_group(gfac), make_group(hfac)
-    k = G.order
-    table = st.lists(st.integers(0, k - 1), min_size=k, max_size=k).map(tuple)
-    tables = data.draw(st.lists(table, max_size=6))
+    tables = data.draw(crowded_tables(G.order))
     shifts = _shifts(G, H)
     want = oracles.shifted_tables(hfac, shifts, tables)
     for impl in IMPLS:
-        assert impl.shift_tables(k, add_table(H), shifts, tables) == want
+        assert impl.shift_tables(G.order, add_table(H), shifts, tables) == want
+
+
+@needs_speedups
+def test_compiled_shift_tables_match_twin_on_z2x2x2_shard():
+    G = make_group([2, 2, 2])
+    gadd, gsub, shifts = add_table(G), sub_table(G), _shifts(G, G)
+    _, count, tables = _speedups.search_tables(8, gadd, gsub, gsub, True, 0, True, True)
+    assert count == len(tables) == 10752 and len(shifts) == 8
+    got = _speedups.shift_tables(8, gadd, shifts, tables)
+    assert len(got) == 86016
+    assert got == _kernels_py.shift_tables(8, gadd, shifts, tables)
 
 
 def test_shift_tables_of_no_tables_is_empty():
@@ -138,6 +163,57 @@ def test_compiled_shift_tables_reject_bad_input():
         _speedups.shift_tables(0, [], [], [])
     with pytest.raises(ValueError, match="k = 46341"):
         _speedups.shift_tables(46341, [], [], [])
+
+
+@given(st.integers(2, 16), st.data())
+@settings(max_examples=100, deadline=None)
+def test_format_tables_match_format_table_every_backend(k, data):
+    G = make_group([k])
+    table = st.lists(st.integers(0, k - 1), min_size=k, max_size=k).map(tuple)
+    tables = data.draw(st.lists(table, max_size=8))
+    want = [format_table(make_table(G, G, t)) for t in tables]
+    for impl in IMPLS:
+        assert impl.format_tables(tables, k) == want
+
+
+def test_format_tables_edge_cases_every_backend():
+    for impl in IMPLS:
+        assert impl.format_tables([], 16) == []
+        assert impl.format_tables([(0,)], 1) == ["0"]
+        assert impl.format_tables([tuple(range(16))[::-1]], 16) == [
+            "15,14,13,12,11,10,9,8,7,6,5,4,3,2,1,0"
+        ]
+
+
+@needs_speedups
+def test_compiled_format_tables_reject_bad_input():
+    k, table = 4, (0, 1, 2, 3)
+    with pytest.raises(ValueError, match="table has length 3"):
+        _speedups.format_tables([table, (0, 1, 2)], k)
+    with pytest.raises(ValueError, match="outside"):
+        _speedups.format_tables([(0, 1, 2, 4)], k)
+    with pytest.raises(ValueError, match="outside"):
+        _speedups.format_tables([(0, -1, 2, 3)], k)
+    with pytest.raises(ValueError, match="outside"):
+        _speedups.format_tables([(0, 1, 2, 2 ** 70)], k)
+    with pytest.raises(ValueError, match="k = 0"):
+        _speedups.format_tables([], 0)
+    with pytest.raises(ValueError, match="k = 46341"):
+        _speedups.format_tables([], 46341)
+
+
+def test_c_source_compiles_without_warnings(tmp_path):
+    gcc = shutil.which("gcc")
+    include = Path(sysconfig.get_paths()["include"])
+    if gcc is None or not (include / "Python.h").exists():
+        pytest.skip("gcc or Python.h not available")
+    source = Path(__file__).parent.parent / "src" / "semibiplane" / "_speedups.c"
+    proc = subprocess.run(
+        [gcc, "-c", "-Wall", "-Werror", f"-I{include}", str(source),
+         "-o", str(tmp_path / "_speedups.o")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @needs_speedups

@@ -131,6 +131,16 @@ def test_fiber_limit_cuts_leaves_only_at_k_5_and_7():
     assert exhaustive_search(make_group([7]), make_group([7])).visited == 25032
 
 
+def test_fiber_limit_keeps_every_z2x4_table():
+    # Z2x4 has tables and k > 4, so the limit is active: a limit that pruned
+    # a semi-planar table would change this list (the Z6 lists are empty)
+    G = make_group([2, 4])
+    on = exhaustive_search(G, G)
+    off = exhaustive_search(G, G, SearchOptions(use_fiber_limit=False))
+    assert on.count == off.count == len(on.values) == 1024
+    assert on.values == off.values
+
+
 def test_visited_counts_unpruned(z6):
     norm = exhaustive_search(z6, z6, UNPRUNED)
     assert norm.visited == 6 ** 5 == 7776
