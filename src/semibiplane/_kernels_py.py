@@ -2,10 +2,11 @@
 
 Interface-identical to the C module ``_speedups``, which returns the same
 results and raises ValueError on tables of the wrong length or with entries
-outside [0, k); the dispatcher in ``kernels`` picks whichever is available.
+out of range; the dispatcher in ``kernels`` picks whichever is available.
 This twin is the reference the compiled kernels are tested against. All
 tables are flat row-major sequences: ``gadd[x * k + a]`` is ``x + a`` in G,
-``hsub[u * k + w]`` is ``u - w`` in H.
+``hsub[u * n + w]`` is ``u - w`` in H, where n is the order of H (n = k
+everywhere except in ``semiplanar_witness``, which takes n).
 
 The four kernels are the semi-planarity witness, the search,
 ``shift_tables``, which rebuilds and sorts the shards that the shift-reduced
@@ -13,17 +14,20 @@ search does not run, and ``format_tables``, which writes the report line of
 each found table.
 """
 
-from itertools import product
 
-
-def semiplanar_witness(values, gadd, hsub, k):
+def semiplanar_witness(values, gadd, hsub, k, n):
     """First (a, y, count) with count not in {0, 2}, smallest a then smallest
-    y; None when the table is semi-planar."""
+    y; None when the table is semi-planar.
+
+    ``values`` is a table G -> H with k = |G| entries in [0, n), n = |H|, and
+    ``hsub`` is H's n x n subtraction table. In the incidence structure,
+    points (0, 0) and (a, y) share as many lines as the count of (a, y).
+    """
     for a in range(1, k):
-        cnt = [0] * k
+        cnt = [0] * n
         for x in range(k):
-            cnt[hsub[values[gadd[x * k + a]] * k + values[x]]] += 1
-        for y in range(k):
+            cnt[hsub[values[gadd[x * k + a]] * n + values[x]]] += 1
+        for y in range(n):
             c = cnt[y]
             if c and c != 2:
                 return (a, y, c)
@@ -42,12 +46,11 @@ def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, use_fib
     keeps incremental per-(a, y) counts of finished difference pairs and
     backtracks once any count exceeds 2; with ``use_fiber_limit`` (active only
     for k > 4) it backtracks once a partial fiber exceeds k/2. Flags change
-    the work done, never the result.
+    the work done, never the result: without pruning every leaf is checked
+    by ``semiplanar_witness``, so with both rules off this is the plain
+    enumeration the pruned route is verified against.
     """
     fiber_on = bool(use_fiber_limit) and k > 4
-    if not use_pruning and not fiber_on:
-        return _enumerate_plain(k, gadd, hsub, fix_zero, shard_val)
-
     f = [0] * k
     cnt = [0] * (k * k)  # cnt[a*k + y], a = 0 row unused
     fib = [0] * k
@@ -69,7 +72,7 @@ def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, use_fib
                             ok = False
                             break
             else:
-                ok = semiplanar_witness(f, gadd, hsub, k) is None
+                ok = semiplanar_witness(f, gadd, hsub, k, k) is None
             if ok:
                 count += 1
                 found.append(tuple(f))
@@ -136,23 +139,3 @@ def format_tables(tables, k):
     ``functions.format_table`` writes it."""
     line = ",".join(["%d"] * k)
     return [line % t for t in tables]
-
-
-def _enumerate_plain(k, gadd, hsub, fix_zero, shard_val):
-    # No pruning at all: flat lexicographic enumeration with the direct
-    # checker at every leaf. This is the oracle route the pruned search is
-    # verified against.
-    head0 = (0,) if fix_zero else tuple(range(k))
-    head1 = (shard_val,) if shard_val >= 0 else tuple(range(k))
-    visited = 0
-    count = 0
-    found = []
-    for v0 in head0:
-        for v1 in head1:
-            for rest in product(range(k), repeat=k - 2):
-                vals = (v0, v1) + rest
-                visited += 1
-                if semiplanar_witness(vals, gadd, hsub, k) is None:
-                    count += 1
-                    found.append(vals)
-    return visited, count, found

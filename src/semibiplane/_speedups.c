@@ -7,6 +7,8 @@
  *
  * Tables are flat row-major sequences of ints in [0, k): ``gadd[x * k + a]``
  * is x + a in G, ``gsub`` and ``hsub`` are the subtraction tables of G and H.
+ * ``semiplanar_witness`` alone takes H's order n apart from G's order k: its
+ * ``values`` and n x n ``hsub`` hold ints in [0, n).
  * Every sequence is copied into a C array and checked (length and range)
  * before any index is formed from it, so bad input raises ValueError.
  */
@@ -52,18 +54,18 @@ to_ints(PyObject *seq, Py_ssize_t n, int k, const char *name, int *out)
     return 0;
 }
 
-/* First (a, y, count) with count not in {0, 2}, smallest a then smallest y;
- * returns 1 and fills ``w`` when one exists, 0 when f is semi-planar.
- * ``cnt`` is scratch space of k ints. */
+/* First (a, y, count) with count not in {0, 2}, smallest a then smallest y,
+ * for f: G -> H with |G| = k and |H| = n; returns 1 and fills ``w`` when one
+ * exists, 0 when f is semi-planar. ``cnt`` is scratch space of n ints. */
 static int
-first_witness(int k, const int *f, const int *gadd, const int *hsub, int *cnt,
-              int w[3])
+first_witness(int k, int n, const int *f, const int *gadd, const int *hsub,
+              int *cnt, int w[3])
 {
     for (int a = 1; a < k; a++) {
-        memset(cnt, 0, (size_t)k * sizeof(int));
+        memset(cnt, 0, (size_t)n * sizeof(int));
         for (int x = 0; x < k; x++)
-            cnt[hsub[f[gadd[x * k + a]] * k + f[x]]]++;
-        for (int y = 0; y < k; y++) {
+            cnt[hsub[f[gadd[x * k + a]] * n + f[x]]]++;
+        for (int y = 0; y < n; y++) {
             if (cnt[y] != 0 && cnt[y] != 2) {
                 w[0] = a;
                 w[1] = y;
@@ -78,24 +80,26 @@ first_witness(int k, const int *f, const int *gadd, const int *hsub, int *cnt,
 static PyObject *
 semiplanar_witness(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"values", "gadd", "hsub", "k", NULL};
+    static char *kwlist[] = {"values", "gadd", "hsub", "k", "n", NULL};
     PyObject *values, *gadd_o, *hsub_o, *result = NULL;
-    int k, w[3];
+    int k, n, w[3];
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOi", kwlist,
-                                     &values, &gadd_o, &hsub_o, &k))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOii", kwlist,
+                                     &values, &gadd_o, &hsub_o, &k, &n))
         return NULL;
     if (k < 1 || k > MAX_K)
         return PyErr_Format(PyExc_ValueError, "k = %d is outside [1, %d]", k, MAX_K);
-    size_t kk = (size_t)k * k;
-    int *buf = malloc((2 * (size_t)k + 2 * kk) * sizeof(int));
+    if (n < 1 || n > MAX_K)
+        return PyErr_Format(PyExc_ValueError, "n = %d is outside [1, %d]", n, MAX_K);
+    size_t kk = (size_t)k * k, nn = (size_t)n * n;
+    int *buf = malloc(((size_t)k + n + kk + nn) * sizeof(int));
     if (buf == NULL)
         return PyErr_NoMemory();
-    int *f = buf, *cnt = buf + k, *gadd = cnt + k, *hsub = gadd + kk;
-    if (to_ints(values, k, k, "values", f) == 0
+    int *f = buf, *cnt = buf + k, *gadd = cnt + n, *hsub = gadd + kk;
+    if (to_ints(values, k, n, "values", f) == 0
             && to_ints(gadd_o, kk, k, "gadd", gadd) == 0
-            && to_ints(hsub_o, kk, k, "hsub", hsub) == 0) {
-        if (first_witness(k, f, gadd, hsub, cnt, w))
+            && to_ints(hsub_o, nn, n, "hsub", hsub) == 0) {
+        if (first_witness(k, n, f, gadd, hsub, cnt, w))
             result = Py_BuildValue("(iii)", w[0], w[1], w[2]);
         else
             result = Py_NewRef(Py_None);
@@ -135,7 +139,7 @@ leaf_is_semiplanar(Search *s)
 {
     int k = s->k, w[3];
     if (!s->use_pruning)
-        return !first_witness(k, s->f, s->gadd, s->hsub, s->scratch, w);
+        return !first_witness(k, k, s->f, s->gadd, s->hsub, s->scratch, w);
     if (s->viol)
         return 0;
     for (int i = k; i < k * k; i++)
@@ -389,9 +393,9 @@ done:
 static PyMethodDef methods[] = {
     {"semiplanar_witness", (PyCFunction)(void (*)(void))semiplanar_witness,
      METH_VARARGS | METH_KEYWORDS,
-     "semiplanar_witness(values, gadd, hsub, k)\n--\n\n"
+     "semiplanar_witness(values, gadd, hsub, k, n)\n--\n\n"
      "First (a, y, count) with count not in {0, 2}, smallest a then smallest\n"
-     "y; None when the table is semi-planar."},
+     "y, for a table of k entries in [0, n); None when it is semi-planar."},
     {"search_tables", (PyCFunction)(void (*)(void))search_tables,
      METH_VARARGS | METH_KEYWORDS,
      "search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, "

@@ -127,7 +127,7 @@ def _cmd_build(args) -> int:
             kind, i, j, c = report.failure
             lines.append(f"axiom failure: {kind} {i} and {j} share {c}")
         _emit("\n".join(lines), args.out)
-    return 0 if is_semiplanar(f).is_semiplanar else 1
+    return 0 if report.failure is None else 1
 
 
 def _cmd_classify(args) -> int:
@@ -162,7 +162,7 @@ def _cmd_search(args) -> int:
     except SearchBudgetError as exc:
         raise UsageError(f"--max-order: {exc}") from None
     if args.json:
-        _emit_json(search_result_dict(result, G, opts.fix_zero_at_zero), args.out)
+        _emit_json(search_result_dict(result, opts.fix_zero_at_zero), args.out)
     else:
         lines = [
             f"group={G.name} normalized={opts.fix_zero_at_zero} "

@@ -74,7 +74,7 @@ def is_semiplanar(f: FuncTable) -> SemiPlanarityVerdict:
     """Test that every nonzero difference equation has 0 or 2 solutions."""
     k = _require_equal_orders(f)
     witness = kernels.semiplanar_witness(
-        f.values, add_table(f.domain), sub_table(f.codomain), k
+        f.values, add_table(f.domain), sub_table(f.codomain), k, k
     )
     return SemiPlanarityVerdict(witness is None, witness)
 

@@ -9,9 +9,9 @@ and exports DOT.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
+from . import kernels
 from .functions import FuncTable
 from .groups import add_table, sub_table
 
@@ -71,10 +71,13 @@ class AxiomReport:
     v: int
     k: int
     component_count: int
-    #: ("points", id1, id2, shared_count) for the first pair of points (in
+    #: ("points", 0, j, shared_count) for the first pair of points (in
     #: lexicographic id order) that shares a number of lines other than 0 or
-    #: 2; the kind is always "points", since a failing line pair implies a
-    #: failing point pair. None when both axioms hold.
+    #: 2, read from the semi-planarity witness (a, y, count) of f as
+    #: j = a*|H| + y; the first id is always point 0 and the kind always
+    #: "points", since translations carry any failing pair to one through
+    #: point 0 and a failing line pair implies a failing point pair. None
+    #: when both axioms hold.
     failure: tuple[str, int, int, int] | None
 
 
@@ -143,28 +146,22 @@ def common_points(S: Structure, l1: int, l2: int) -> frozenset[int]:
     return points_on_line(S, l1) & points_on_line(S, l2)
 
 
-def _row0_failure(S: Structure) -> tuple[int, int, int] | None:
-    """First (0, j, count) where point j shares a count other than 0 or 2 of
-    lines with point 0."""
-    shared = [0] * S.point_count
-    for line in lines_through_point(S, 0):
-        for j in points_on_line(S, line):
-            shared[j] += 1
-    for j in range(1, S.point_count):
-        if shared[j] != 0 and shared[j] != 2:
-            return (0, j, shared[j])
-    return None
-
-
 def verify_axioms(S: Structure) -> AxiomReport:
     """Check both 0-or-2 axioms over all pairs, plus connectivity."""
     # Translations (x, y) -> (x+g, y+h), L(a, b) -> L(a+g, b+h) keep incidence
     # and act regularly on points and on lines, so any failing pair maps to
     # a failing pair (0, j): row 0 holds the lexicographically first failure.
     # Lines 0, j share as many points as points 0, j share lines, so the
-    # points' row 0 decides both axioms.
-    hit = _row0_failure(S)
-    failure = None if hit is None else ("points",) + hit
+    # points' row 0 decides both axioms. Points (0, 0) and (a, y) share the
+    # lines L(-t, -f(t)) with f(t+a) - f(t) = y, so row 0 is f's difference
+    # table and its first failure is f's semi-planarity witness (a, y, count)
+    # at id a*|H| + y; the points (0, y) share no line with (0, 0).
+    f = S.f
+    k, nh = f.domain.order, f.codomain.order
+    hit = kernels.semiplanar_witness(
+        f.values, add_table(f.domain), sub_table(f.codomain), k, nh
+    )
+    failure = None if hit is None else ("points", 0, hit[0] * nh + hit[1], hit[2])
     part = components(S)
     ok = failure is None and part.component_count == 1
     return AxiomReport(ok, S.point_count, S.points_per_line, part.component_count, failure)
@@ -266,70 +263,46 @@ def hypercube_graph(n: int) -> Graph:
     )
 
 
-def _find_isomorphism(g1: Graph, g2: Graph):
-    """Backtracking isomorphism search with degree and adjacency pruning."""
-    n = g1.vertex_count
-    if n != g2.vertex_count or g1.edge_count != g2.edge_count:
-        return None
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return None
-    deg1 = g1.degrees()
-    deg2 = g2.degrees()
-
-    # map vertices in BFS order from 0 so each new vertex attaches to mapped ones
-    order = []
-    seen = [False] * n
-    queue = deque()
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue.append(start)
-        while queue:
-            u = queue.popleft()
-            order.append(u)
-            for w in sorted(g1.adjacency[u]):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(pos):
-        if pos == n:
-            return True
-        u = order[pos]
-        for w in range(n):
-            if used[w] or deg1[u] != deg2[w]:
-                continue
-            ok = True
-            for prev in order[:pos]:
-                if (prev in g1.adjacency[u]) != (mapping[prev] in g2.adjacency[w]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[u] = w
-            used[w] = True
-            if extend(pos + 1):
-                return True
-            mapping[u] = -1
-            used[w] = False
-        return False
-
-    return mapping if extend(0) else None
-
-
 def is_hypercube_graph(graph: Graph, n: int) -> bool:
-    """True iff ``graph`` is isomorphic to the n-dimensional hypercube Q_n."""
+    """True iff ``graph`` is isomorphic to the n-dimensional hypercube Q_n.
+
+    Each vertex gets a coordinate label: vertex 0 gets 0, its neighbours in
+    sorted order get 1, 2, 4, ..., and each vertex of a later breadth-first
+    layer gets the OR of its neighbours' labels in the layer before. An
+    n-regular graph on 2^n vertices is Q_n iff the labels are a bijection
+    onto 0..2^n-1 under which every edge flips exactly one bit: such a graph
+    has Q_n's edge count, so the labels map it onto all of Q_n. Conversely,
+    Q_n has an automorphism that fixes 0 and sends 0's sorted neighbours to
+    1, 2, 4, ...; every vertex's label is then its image.
+    """
     if n < 1:
         raise ValueError("hypercube dimension must be >= 1")
-    if graph.vertex_count != 1 << n:
+    size = 1 << n
+    adjacency = graph.adjacency
+    if graph.vertex_count != size or any(len(nbrs) != n for nbrs in adjacency):
         return False
-    if any(d != n for d in graph.degrees()):
-        return False
-    return _find_isomorphism(graph, hypercube_graph(n)) is not None
+    depth = [-1] * size
+    label = [0] * size
+    depth[0] = 0
+    layer = sorted(adjacency[0])
+    for bit, w in enumerate(layer):
+        depth[w], label[w] = 1, 1 << bit
+    d = 1
+    while layer:
+        d += 1
+        nxt = []
+        for u in layer:
+            for w in adjacency[u]:
+                if depth[w] < 0:
+                    depth[w] = d
+                    nxt.append(w)
+                if depth[w] == d:
+                    label[w] |= label[u]
+        layer = nxt
+    return set(label) == set(range(size)) and all(
+        (label[u] ^ label[w]).bit_count() == 1
+        for u in range(size) for w in adjacency[u]
+    )
 
 
 _DOT_PALETTE = (

@@ -4,6 +4,10 @@ The C extension ``semibiplane._speedups`` (built by
 ``python setup.py build_ext --inplace``) is used when importable; otherwise
 the pure-Python kernels take over. Set the environment variable
 ``SEMIBIPLANE_PURE=1`` before import to force the pure backend.
+
+Both backends take the same arguments; ``semiplanar_witness(values, gadd,
+hsub, k, n)`` is the one kernel that takes the codomain order n apart from
+the domain order k, so it also checks tables G -> H of unequal orders.
 """
 
 from __future__ import annotations

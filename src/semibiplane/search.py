@@ -200,10 +200,11 @@ def orbit_reduce(
     return [FuncTable(G, H, v) for v in sorted(reps)]
 
 
-def search_result_dict(result: SearchResult, G: GroupSpec, normalized: bool) -> dict:
-    """JSON-ready dict of the report that ``search --json`` prints."""
+def search_result_dict(result: SearchResult, normalized: bool) -> dict:
+    """JSON-ready dict of the report that ``search --json`` prints; the
+    group is the result's domain."""
     return {
-        "group": G.name,
+        "group": result.domain.name,
         "normalized": normalized,
         "visited": result.visited,
         "count": result.count,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 
 from .functions import (
@@ -346,18 +346,18 @@ def run_checks(inject_fault: str | None = None, deep: bool = False) -> list[Chec
     """Run the whole checklist; ``inject_fault`` forces the named check to
     fail (negative-control hook for tests)."""
     producers = [
-        lambda: _check_gold_family(),
-        lambda: _check_gold_sbp(deep),
-        lambda: _check_hypercube(),
-        lambda: _check_z6(),
-        lambda: _check_k2(),
-        lambda: _check_inverse(),
-        lambda: _check_intersection_criterion(),
-        lambda: _check_p_characterization(),
-        lambda: _check_difference_lemma(),
-        lambda: _check_transform_closure(),
-        lambda: _check_fiber_limit(),
-        lambda: _check_worker_determinism(),
+        _check_gold_family,
+        partial(_check_gold_sbp, deep),
+        _check_hypercube,
+        _check_z6,
+        _check_k2,
+        _check_inverse,
+        _check_intersection_criterion,
+        _check_p_characterization,
+        _check_difference_lemma,
+        _check_transform_closure,
+        _check_fiber_limit,
+        _check_worker_determinism,
     ]
     _z6_search.cache_clear()
     try:

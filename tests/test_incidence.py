@@ -256,6 +256,28 @@ def test_component_graph_bad_label(s_gold31):
         component_graph(s_gold31, part, 1)
 
 
+@st.composite
+def relabelled_hypercubes(draw, dims=st.integers(1, 5)):
+    """(n, adjacency sets) of Q_n with its vertices permuted at random."""
+    n = draw(dims)
+    perm = draw(st.permutations(range(1 << n)))
+    adjacency = [set() for _ in perm]
+    for u, pu in enumerate(perm):
+        adjacency[pu].update(perm[u ^ (1 << b)] for b in range(n))
+    return n, adjacency
+
+
+def as_graph(adjacency):
+    return Graph(tuple(frozenset(nbrs) for nbrs in adjacency))
+
+
+def switch_edges(adjacency, a, b, c, d):
+    """Replace edges a-b and c-d by a-d and c-b; degrees stay the same."""
+    for u, old, new in ((a, b, d), (b, a, c), (c, d, b), (d, c, a)):
+        adjacency[u].remove(old)
+        adjacency[u].add(new)
+
+
 def test_hypercube_recognition(s_gold21):
     part = components(s_gold21)
     for label in (0, 1):
@@ -275,7 +297,43 @@ def test_hypercube_recognition(s_gold21):
     )
     assert all(d == 4 for d in two_k44.degrees()) and two_k44.vertex_count == 16
     assert not is_hypercube_graph(two_k44, 4)
+    # Q4 with 7-5, 12-14 switched to 7-14, 12-5: 4-regular and connected, and
+    # its coordinate labels are the vertex ids, but 7-14 and 12-5 flip two bits
+    switched = [set(nbrs) for nbrs in hypercube_graph(4).adjacency]
+    switch_edges(switched, 7, 5, 12, 14)
+    assert not is_hypercube_graph(as_graph(switched), 4)
     assert not is_hypercube_graph(hypercube_graph(3), 4)
+
+
+@given(relabelled_hypercubes())
+@settings(max_examples=100, deadline=None)
+def test_every_relabelled_hypercube_is_recognised(cube):
+    n, adjacency = cube
+    assert is_hypercube_graph(as_graph(adjacency), n)
+
+
+@given(
+    relabelled_hypercubes(st.integers(2, 5)),
+    st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+             min_size=1, max_size=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_switched_hypercube_without_the_pair_property_is_rejected(cube, picks):
+    # Any two distinct vertices of Q_n share 0 or 2 neighbours, so a
+    # degree-preserving switch a-b, c-d -> a-d, c-b that breaks this leaves a
+    # graph that is not Q_n.
+    n, adjacency = cube
+    v = len(adjacency)
+    for i, j in picks:
+        edges = [(u, w) for u in range(v) for w in sorted(adjacency[u])]
+        (a, b), (c, d) = edges[i % len(edges)], edges[j % len(edges)]
+        if len({a, b, c, d}) == 4 and d not in adjacency[a] and b not in adjacency[c]:
+            switch_edges(adjacency, a, b, c, d)
+    shared = {
+        len(adjacency[u] & adjacency[w]) for u in range(v) for w in range(u + 1, v)
+    }
+    if not shared <= {0, 2}:
+        assert not is_hypercube_graph(as_graph(adjacency), n)
 
 
 def test_intersection_criterion_k8(s_gold31):

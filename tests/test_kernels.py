@@ -5,6 +5,7 @@ The compiled-parity tests skip when ``semibiplane._speedups`` is not built;
 source with ``gcc -Wall -Werror`` and skips without gcc or ``Python.h``.
 """
 
+import os
 import random
 import shutil
 import subprocess
@@ -52,13 +53,22 @@ def test_backend_reports_something():
     assert kernels.BACKEND in ("compiled", "pure-python")
 
 
+def test_built_extension_is_the_active_backend():
+    # kernels.py falls back to the pure twin on any ImportError, so without
+    # this a broken build would show only as compiled-parity tests that skip.
+    if not list(Path(kernels.__file__).parent.glob("_speedups*.so")):
+        pytest.skip("compiled kernels not built")
+    want = "pure-python" if os.environ.get("SEMIBIPLANE_PURE") else "compiled"
+    assert kernels.BACKEND == want, "the built _speedups extension does not import"
+
+
 def test_pure_witness_matches_oracle():
     rng = random.Random(2)
     for factors in ([6], [2, 2], [8], [2, 4]):
         k, gadd, gsub = tables_for(factors)
         for _ in range(50):
             values = [rng.randrange(k) for _ in range(k)]
-            got = _kernels_py.semiplanar_witness(values, gadd, gsub, k)
+            got = _kernels_py.semiplanar_witness(values, gadd, gsub, k, k)
             assert (got is None) == oracles.is_semiplanar(values, factors, factors)
             if got is not None:
                 a, y, count = got
@@ -69,7 +79,7 @@ def test_pure_witness_canonical_order():
     # the witness is the first (a, y) in lexicographic order
     k, gadd, gsub = tables_for([6])
     values = list(range(6))
-    got = _kernels_py.semiplanar_witness(values, gadd, gsub, 6)
+    got = _kernels_py.semiplanar_witness(values, gadd, gsub, 6, 6)
     assert got == (1, 1, 6)
 
 
@@ -90,16 +100,16 @@ def test_backends_export_the_same_kernels():
         assert getattr(kernels, name) is getattr(kernels._impl, name)
 
 
-@given(st.sampled_from(EQUAL_ORDER_GROUPS), st.data())
+@given(st.sampled_from(oracles.ORACLE_GROUPS), st.data())
 @settings(max_examples=150, deadline=None)
 def test_witness_matches_oracle_every_backend(groups, data):
     gfac, hfac = groups
-    k = oracles.group_order(gfac)
-    values = data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+    k, n = oracles.group_order(gfac), oracles.group_order(hfac)
+    values = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
     gadd, hsub = add_table(make_group(gfac)), sub_table(make_group(hfac))
     want = oracles.first_witness(values, gfac, hfac)
     for impl in IMPLS:
-        assert impl.semiplanar_witness(values, gadd, hsub, k) == want
+        assert impl.semiplanar_witness(values, gadd, hsub, k, n) == want
 
 
 @st.composite
@@ -226,8 +236,8 @@ def test_witness_parity():
         cases.append(list(range(k)))
         for values in cases:
             assert _speedups.semiplanar_witness(
-                values, gadd, gsub, k
-            ) == _kernels_py.semiplanar_witness(values, gadd, gsub, k)
+                values, gadd, gsub, k, k
+            ) == _kernels_py.semiplanar_witness(values, gadd, gsub, k, k)
 
 
 @needs_speedups
@@ -269,13 +279,25 @@ def test_search_parity_pruned_k8_shard():
 def test_compiled_kernels_reject_bad_input():
     k, gadd, gsub = tables_for([4])
     with pytest.raises(ValueError, match="length"):
-        _speedups.semiplanar_witness([0, 1, 2], gadd, gsub, k)
+        _speedups.semiplanar_witness([0, 1, 2], gadd, gsub, k, k)
     with pytest.raises(ValueError, match="length"):
         _speedups.search_tables(k, gadd[:-1], gsub, gsub, True, -1, True, True)
     with pytest.raises(ValueError, match="outside"):
-        _speedups.semiplanar_witness([0, 1, 2, 4], gadd, gsub, k)
+        _speedups.semiplanar_witness([0, 1, 2, 4], gadd, gsub, k, k)
     with pytest.raises(ValueError, match="outside"):
-        _speedups.semiplanar_witness([0, 1, 2, 2 ** 70], gadd, gsub, k)
+        _speedups.semiplanar_witness([0, 1, 2, 2 ** 70], gadd, gsub, k, k)
+    # G = Z4, H = Z2: values and hsub are checked against n = 2
+    z2sub = sub_table(make_group([2]))
+    with pytest.raises(ValueError, match=r"values\[3\] = 2 is outside \[0, 2\)"):
+        _speedups.semiplanar_witness([0, 1, 0, 2], gadd, z2sub, k, 2)
+    with pytest.raises(ValueError, match="hsub has length 16; expected 4"):
+        _speedups.semiplanar_witness([0, 1, 0, 1], gadd, gsub, k, 2)
+    with pytest.raises(ValueError, match="hsub has length 4; expected 16"):
+        _speedups.semiplanar_witness([0, 1, 2, 3], gadd, z2sub, k, k)
+    with pytest.raises(ValueError, match="n = 0"):
+        _speedups.semiplanar_witness([0, 0, 0, 0], gadd, [], k, 0)
+    with pytest.raises(ValueError, match="n = 46341"):
+        _speedups.semiplanar_witness([0, 0, 0, 0], gadd, [], k, 46341)
     with pytest.raises(ValueError, match="outside"):
         _speedups.search_tables(k, gadd, gsub, (-1,) + gsub[1:], True, -1, True, True)
     with pytest.raises(ValueError, match="shard_val"):

@@ -261,7 +261,7 @@ def test_verify_runs_each_z6_search_once_per_run(monkeypatch):
 
 def test_search_result_dict_schema(z6):
     result = exhaustive_search(z6, z6)
-    data = search_result_dict(result, z6, True)
+    data = search_result_dict(result, True)
     assert data["group"] == "Z6"
     assert data["normalized"] is True
     assert data["count"] == 0
