@@ -6,12 +6,12 @@ out of range; the dispatcher in ``kernels`` picks whichever is available.
 This twin is the reference the compiled kernels are tested against. All
 tables are flat row-major sequences: ``gadd[x * k + a]`` is ``x + a`` in G,
 ``hsub[u * n + w]`` is ``u - w`` in H, where n is the order of H (n = k
-everywhere except in ``semiplanar_witness``, which takes n).
+except in ``semiplanar_witness`` and ``coset_labels``, which take n).
 
-The four kernels are the semi-planarity witness, the search,
+The five kernels are the semi-planarity witness, the search,
 ``shift_tables``, which rebuilds and sorts the shards that the shift-reduced
-search does not run, and ``format_tables``, which writes the report line of
-each found table.
+search does not run, ``format_tables``, which writes the found tables'
+report lines, and ``coset_labels``, the component labelling.
 """
 
 
@@ -139,3 +139,53 @@ def format_tables(tables, k):
     ``functions.format_table`` writes it."""
     line = ",".join(["%d"] * k)
     return [line % t for t in tables]
+
+
+def coset_labels(values, gadd, hadd, hsub, k, n):
+    """(point labels, line labels, count) of the components of the
+    incidence structure of f: G -> H, |G| = k, |H| = n.
+
+    Translations keep incidence, so the lines of L(0, 0)'s component are the
+    subgroup K of G x H generated by the offsets (a, f(u+a) - f(u)) of the
+    lines meeting L(0, 0), and each component's lines are a coset of K.
+    Cosets are labelled in line-id order (id a * n + b); point (x, y) lies on
+    L(x, y - f(0)) and takes its label."""
+    v = k * n
+
+    def shifted(i, pairs):
+        a, b = divmod(i, n)
+        ra, rb = a * k, b * n
+        return [gadd[ra + c] * n + hadd[rb + d] for c, d in pairs]
+
+    # Each generator not yet in K at least doubles K: under 2v additions.
+    subgroup = [0]
+    in_subgroup = [False] * v
+    in_subgroup[0] = True
+    for a in range(1, k):
+        if len(subgroup) == v:
+            break
+        for u in range(k):
+            gen = a * n + hsub[values[gadd[u * k + a]] * n + values[u]]
+            if in_subgroup[gen]:
+                continue
+            base = [divmod(e, n) for e in subgroup]
+            step, gen_pair = gen, [divmod(gen, n)]
+            while not in_subgroup[step]:
+                coset = shifted(step, base)
+                for t in coset:
+                    in_subgroup[t] = True
+                subgroup += coset
+                (step,) = shifted(step, gen_pair)
+    if len(subgroup) == v:
+        return (0,) * v, (0,) * v, 1
+    pairs = [divmod(e, n) for e in subgroup]
+    line_labels = [-1] * v
+    label = 0
+    for seed in range(v):
+        if line_labels[seed] < 0:
+            for t in shifted(seed, pairs):
+                line_labels[t] = label
+            label += 1
+    f0 = values[0]
+    point_labels = [line_labels[x * n + hsub[y * n + f0]] for x in range(k) for y in range(n)]
+    return tuple(point_labels), tuple(line_labels), label

@@ -1,14 +1,17 @@
 /* Compiled kernels for the hot loops; the interface and every result mirror
  * the pure-Python twin ``_kernels_py``, which documents the contract. The
- * four kernels are the semi-planarity witness, the search,
+ * five kernels are the semi-planarity witness, the search,
  * ``shift_tables``, which rebuilds the shift-reduced search's other shards
- * and radix-sorts them in one C array before any result tuple is made, and
- * ``format_tables``, which writes each table's comma-separated decimal line.
+ * and radix-sorts them in one C array before any result tuple is made,
+ * ``format_tables``, which writes each table's comma-separated decimal line,
+ * and ``coset_labels``, which labels the components of the incidence
+ * structure as the cosets of a translation subgroup.
  *
  * Tables are flat row-major sequences of ints in [0, k): ``gadd[x * k + a]``
  * is x + a in G, ``gsub`` and ``hsub`` are the subtraction tables of G and H.
- * ``semiplanar_witness`` alone takes H's order n apart from G's order k: its
- * ``values`` and n x n ``hsub`` hold ints in [0, n).
+ * ``semiplanar_witness`` and ``coset_labels`` take H's order n apart from
+ * G's order k: their ``values`` and n x n ``hadd`` and ``hsub`` hold ints
+ * in [0, n).
  * Every sequence is copied into a C array and checked (length and range)
  * before any index is formed from it, so bad input raises ValueError.
  */
@@ -241,7 +244,7 @@ shift_tables(PyObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"k", "hadd", "shifts", "tables", NULL};
     PyObject *hadd_o, *shifts_o, *tables_o, *shifts, *tables, *result = NULL;
-    int k;
+    int k, gc_was_enabled = 0;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOOO", kwlist, &k, &hadd_o,
                                      &shifts_o, &tables_o))
@@ -310,6 +313,9 @@ shift_tables(PyObject *self, PyObject *args, PyObject *kwds)
     }
     if ((result = PyList_New(n)) == NULL)
         goto done;
+    /* Each 700 new tuples would start a collection that finds no garbage;
+     * the previous state comes back at ``done`` on every path. */
+    gc_was_enabled = PyGC_Disable();
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *tup = PyTuple_New(k);
         if (tup == NULL) {
@@ -328,6 +334,8 @@ shift_tables(PyObject *self, PyObject *args, PyObject *kwds)
         }
     }
 done:
+    if (gc_was_enabled)
+        PyGC_Enable();
     free(buf);
     free(idx);
     Py_DECREF(shifts);
@@ -390,6 +398,119 @@ done:
     return result;
 }
 
+/* The id i + j in G x H, ids being a * n + b. */
+static inline int
+add_ids(int i, int j, int k, int n, const int *gadd, const int *hadd)
+{
+    return gadd[i / n * k + j / n] * n + hadd[i % n * n + j % n];
+}
+
+/* Fill the line and point labels of S(G, H; f), |G| = k, |H| = n, and return
+ * the component count; the pure twin documents the method. ``sub`` (v ints)
+ * and ``in_sub`` (v zeroed flags) are scratch space. An element joins ``sub``
+ * once, so ``sub`` cannot overflow, and a coset walk stops when it adds
+ * nothing: both hold for any tables in range, group tables or not. */
+static int
+label_cosets(int k, int n, const int *f, const int *gadd, const int *hadd,
+             const int *hsub, int *sub, char *in_sub, int *line, int *point)
+{
+    int v = k * n, size = 1;
+    sub[0] = 0;
+    in_sub[0] = 1;
+    for (int a = 1; a < k && size < v; a++) {
+        for (int u = 0; u < k && size < v; u++) {
+            int gen = a * n + hsub[f[gadd[u * k + a]] * n + f[u]], base = size;
+            for (int step = gen, grew = 1; grew && !in_sub[step];
+                 step = add_ids(step, gen, k, n, gadd, hadd)) {
+                grew = 0;
+                for (int i = 0; i < base; i++) {
+                    int t = add_ids(step, sub[i], k, n, gadd, hadd);
+                    if (!in_sub[t]) {
+                        in_sub[t] = 1;
+                        sub[size++] = t;
+                        grew = 1;
+                    }
+                }
+            }
+        }
+    }
+    if (size == v) {
+        memset(line, 0, (size_t)v * sizeof(int));
+        memset(point, 0, (size_t)v * sizeof(int));
+        return 1;
+    }
+    int label = 0;
+    for (int i = 0; i < v; i++)
+        line[i] = -1;
+    for (int seed = 0; seed < v; seed++) {
+        if (line[seed] >= 0)
+            continue;
+        for (int i = 0; i < size; i++)
+            line[add_ids(seed, sub[i], k, n, gadd, hadd)] = label;
+        label++;
+    }
+    for (int x = 0; x < k; x++)
+        for (int y = 0; y < n; y++)
+            point[x * n + y] = line[x * n + hsub[y * n + f[0]]];
+    return label;
+}
+
+/* A new tuple of the n ints in ``vals``. */
+static PyObject *
+int_tuple(const int *vals, Py_ssize_t n)
+{
+    PyObject *tup = PyTuple_New(n);
+    for (Py_ssize_t i = 0; tup != NULL && i < n; i++) {
+        PyObject *v = PyLong_FromLong(vals[i]);
+        if (v == NULL)
+            Py_CLEAR(tup);
+        else
+            PyTuple_SET_ITEM(tup, i, v);
+    }
+    return tup;
+}
+
+static PyObject *
+coset_labels(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"values", "gadd", "hadd", "hsub", "k", "n", NULL};
+    PyObject *values, *gadd_o, *hadd_o, *hsub_o, *result = NULL;
+    int k, n;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOii", kwlist, &values,
+                                     &gadd_o, &hadd_o, &hsub_o, &k, &n))
+        return NULL;
+    if (k < 1 || k > MAX_K)
+        return PyErr_Format(PyExc_ValueError, "k = %d is outside [1, %d]", k, MAX_K);
+    if (n < 1 || n > MAX_K)
+        return PyErr_Format(PyExc_ValueError, "n = %d is outside [1, %d]", n, MAX_K);
+    size_t kk = (size_t)k * k, nn = (size_t)n * n, v = (size_t)k * n;
+    int *buf = malloc(((size_t)k + kk + 2 * nn + 3 * v) * sizeof(int));
+    char *in_sub = calloc(v, 1);
+    if (buf == NULL || in_sub == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int *f = buf, *gadd = f + k, *hadd = gadd + kk, *hsub = hadd + nn;
+    int *sub = hsub + nn, *line = sub + v, *point = line + v;
+    if (to_ints(values, k, n, "values", f) == 0
+            && to_ints(gadd_o, kk, k, "gadd", gadd) == 0
+            && to_ints(hadd_o, nn, n, "hadd", hadd) == 0
+            && to_ints(hsub_o, nn, n, "hsub", hsub) == 0) {
+        int count = label_cosets(k, n, f, gadd, hadd, hsub, sub, in_sub, line, point);
+        PyObject *points = int_tuple(point, v);
+        PyObject *lines = points == NULL ? NULL : int_tuple(line, v);
+        if (lines != NULL)
+            result = Py_BuildValue("(OOi)", points, lines, count);
+        Py_XDECREF(points);
+        Py_XDECREF(lines);
+    }
+done:
+    free(buf);
+    free(in_sub);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"semiplanar_witness", (PyCFunction)(void (*)(void))semiplanar_witness,
      METH_VARARGS | METH_KEYWORDS,
@@ -412,13 +533,18 @@ static PyMethodDef methods[] = {
      "format_tables(tables, k)\n--\n\n"
      "The comma-separated decimal line of each value table of length k.\n"
      "See the pure-Python twin for the contract."},
+    {"coset_labels", (PyCFunction)(void (*)(void))coset_labels,
+     METH_VARARGS | METH_KEYWORDS,
+     "coset_labels(values, gadd, hadd, hsub, k, n)\n--\n\n"
+     "(point labels, line labels, count) of the components of the incidence\n"
+     "structure of a table G -> H. See the pure-Python twin for the contract."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_speedups",
     "Compiled kernels for the hot loops; interface mirrors ``_kernels_py``.",
-    -1, methods,
+    -1, methods, NULL, NULL, NULL, NULL,
 };
 
 PyMODINIT_FUNC

@@ -80,7 +80,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(data: dict, out: str | None) -> None:
-    _emit(json.dumps({**data, "backend": BACKEND}, indent=2), out)
+    data = {**data, "backend": BACKEND}
+    found = data.get("found")
+    if not found:
+        _emit(json.dumps(data, indent=2), out)
+        return
+    # Found lines are digits and commas: join them, not json's Python encoder.
+    head, tail = json.dumps({**data, "found": []}, indent=2).split('"found": []')
+    _emit(head + '"found": [\n    "' + '",\n    "'.join(found) + '"\n  ]' + tail, out)
 
 
 def _add_function_flags(p: argparse.ArgumentParser) -> None:

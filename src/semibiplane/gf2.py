@@ -116,20 +116,30 @@ def bit_group(e: int) -> GroupSpec:
     return make_group([2] * e)
 
 
+def _power_values(field: FieldSpec, n: int) -> tuple[int, ...]:
+    """x -> x^n with 0 -> 0, as exp[(log x * n) mod (2^e - 1)] over the powers
+    exp[i] = g^i of the least primitive element g."""
+    for g in range(1, field.size):
+        exp = [1]
+        while (x := field_mul(field, exp[-1], g)) != 1:
+            exp.append(x)
+        if len(exp) == field.size - 1:
+            break
+    log = {x: i for i, x in enumerate(exp)}
+    return (0,) + tuple(exp[log[x] * n % len(exp)] for x in range(1, field.size))
+
+
 def gold_table(e: int, alpha: int) -> FuncTable:
     """Value table of x -> x^(2^alpha + 1) over the additive group of GF(2^e)."""
     field = make_field(e)
     if not 1 <= alpha < e:
         raise ValueError(f"invalid parameter alpha={alpha} (expected 1 <= alpha < {e})")
     G = bit_group(e)
-    exp = (1 << alpha) + 1
-    return FuncTable(G, G, tuple(field_pow(field, x, exp) for x in range(field.size)))
+    return FuncTable(G, G, _power_values(field, (1 << alpha) + 1))
 
 
 def inverse_table(e: int) -> FuncTable:
     """Value table of x -> x^(2^e - 2) with 0 -> 0; a bijection of GF(2^e)."""
     field = make_field(e)
     G = bit_group(e)
-    exp = (1 << e) - 2
-    values = tuple(0 if x == 0 else field_pow(field, x, exp) for x in range(field.size))
-    return FuncTable(G, G, values)
+    return FuncTable(G, G, _power_values(field, (1 << e) - 2))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Sequence
 
 from .errors import UnsupportedGroupError
@@ -77,21 +77,14 @@ def make_group(factors: Iterable[int]) -> GroupSpec:
     for n in fs:
         if n < 2:
             raise ValueError(f"invalid group: modulus {n} < 2")
-    order = 1
-    for n in fs:
-        order *= n
-    return GroupSpec(fs, order)
+    return GroupSpec(fs, prod(fs))
 
 
 @lru_cache(maxsize=None)
 def add_table(G: GroupSpec) -> tuple[int, ...]:
     """Flat addition table: entry ``x * order + y`` is ``x + y``."""
     k = G.order
-    out = [0] * (k * k)
-    for x in range(k):
-        for y in range(k):
-            out[x * k + y] = G.add(x, y)
-    return tuple(out)
+    return tuple(G.add(x, y) for x in range(k) for y in range(k))
 
 
 @lru_cache(maxsize=None)
@@ -118,10 +111,7 @@ def index2_subgroups(G: GroupSpec) -> list[frozenset[int]]:
     even_pos = [i for i, n in enumerate(G.factors) if n % 2 == 0]
     if not even_pos:
         return []
-    parities = []
-    for x in G.elements():
-        digits = G.decode(x)
-        parities.append(tuple(digits[i] % 2 for i in even_pos))
+    parities = [tuple(d[i] % 2 for i in even_pos) for d in map(G.decode, G.elements())]
     subgroups = []
     for mask in range(1, 1 << len(even_pos)):
         bits = [(mask >> j) & 1 for j in range(len(even_pos))]
@@ -140,15 +130,10 @@ def is_subgroup(G: GroupSpec, S: Iterable[int]) -> bool:
         raise ValueError("invalid subgroup candidate: empty set")
     for x in members:
         G.check(x)
-    if G.zero not in members:
-        return False
-    for x in members:
-        if G.neg(x) not in members:
-            return False
-        for y in members:
-            if G.add(x, y) not in members:
-                return False
-    return True
+    return G.zero in members and all(
+        G.neg(x) in members and all(G.add(x, y) in members for y in members)
+        for x in members
+    )
 
 
 def coset(G: GroupSpec, S: Iterable[int], rep: int) -> frozenset[int]:

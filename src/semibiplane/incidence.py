@@ -168,64 +168,14 @@ def verify_axioms(S: Structure) -> AxiomReport:
 
 
 def components(S: Structure) -> ComponentPartition:
-    """Label the components as cosets of a translation subgroup of G x H.
-
-    The translations (x, y) -> (x+g, y+h), L(a, b) -> L(a+g, b+h) keep
-    incidence, so L(a, b) and L(a', b') meet exactly when (a'-a, b'-b) is an
-    offset (a, f(x) - f(x-a)) of a line meeting L(0, 0). The lines of the
-    component of L(0, 0) are the subgroup K those offsets generate, and every
-    component's lines form a coset of K. Cosets are labelled in line-id order,
-    so labels come out ordered by smallest contained line id and L(0, 0)
-    always lands in component 0. Point (x, y) lies on L(x, y - f(0)) and
-    takes its label.
-    """
+    """Label the components as the cosets of the translation subgroup of
+    G x H generated by the lines meeting L(0, 0); see
+    ``kernels.coset_labels``."""
     f = S.f
-    k, nh, v = f.domain.order, f.codomain.order, S.point_count
-    gadd, gsub = add_table(f.domain), sub_table(f.domain)
-    hadd, hsub = add_table(f.codomain), sub_table(f.codomain)
-    values = f.values
-
-    def shifted(i: int, pairs: list[tuple[int, int]]) -> list[int]:
-        """The ids i + (c, d) for each (c, d) in ``pairs``."""
-        a, b = divmod(i, nh)
-        ra, rb = a * k, b * nh
-        return [gadd[ra + c] * nh + hadd[rb + d] for c, d in pairs]
-
-    # Each generator not yet in K at least doubles K: under 2v additions.
-    subgroup = [0]
-    in_subgroup = [False] * v
-    in_subgroup[0] = True
-    offsets = (
-        a * nh + hsub[values[x] * nh + values[gsub[x * k + a]]]
-        for a in range(1, k)
-        for x in range(k)
-    )
-    for gen in offsets:
-        if len(subgroup) == v:
-            break
-        if in_subgroup[gen]:
-            continue
-        base = [divmod(e, nh) for e in subgroup]
-        step, gen_pair = gen, [divmod(gen, nh)]
-        while not in_subgroup[step]:
-            coset = shifted(step, base)
-            for t in coset:
-                in_subgroup[t] = True
-            subgroup += coset
-            (step,) = shifted(step, gen_pair)
-
-    pairs = [divmod(e, nh) for e in subgroup]
-    comp_ln = [-1] * v
-    label = 0
-    for seed in range(v):
-        if comp_ln[seed] >= 0:
-            continue
-        for t in shifted(seed, pairs):
-            comp_ln[t] = label
-        label += 1
-    f0 = values[0]
-    comp_pt = [comp_ln[x * nh + hsub[y * nh + f0]] for x in range(k) for y in range(nh)]
-    return ComponentPartition(tuple(comp_pt), tuple(comp_ln), label)
+    G, H = f.domain, f.codomain
+    return ComponentPartition(*kernels.coset_labels(
+        f.values, add_table(G), add_table(H), sub_table(H), G.order, H.order
+    ))
 
 
 def component_graph(S: Structure, partition: ComponentPartition, label: int) -> Graph:

@@ -5,9 +5,9 @@ The C extension ``semibiplane._speedups`` (built by
 the pure-Python kernels take over. Set the environment variable
 ``SEMIBIPLANE_PURE=1`` before import to force the pure backend.
 
-Both backends take the same arguments; ``semiplanar_witness(values, gadd,
-hsub, k, n)`` is the one kernel that takes the codomain order n apart from
-the domain order k, so it also checks tables G -> H of unequal orders.
+Both backends take the same arguments. ``semiplanar_witness`` and
+``coset_labels`` take the codomain order n apart from the domain order k,
+so they also handle tables G -> H of unequal orders.
 """
 
 from __future__ import annotations
@@ -29,3 +29,4 @@ semiplanar_witness = _impl.semiplanar_witness
 search_tables = _impl.search_tables
 shift_tables = _impl.shift_tables
 format_tables = _impl.format_tables
+coset_labels = _impl.coset_labels

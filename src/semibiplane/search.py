@@ -6,12 +6,10 @@ exceeds 2 (optionally also when a partial fiber exceeds k/2); the unpruned
 route enumerates every table and applies the direct checker, which makes the
 two routes independent implementations that must agree. Each searched value
 of f(1) is one shard. The pruned route searches one f(1) per coset of H[n1]
-and rebuilds the other shards by homomorphism shifts (``_shifts``). The
-``kernels.shift_tables`` kernel does that rebuild and sorts the found tables
-of all shards into lexicographic order, and the result keeps them as plain
-value tuples: ``FuncTable`` objects are built only when ``found`` is read,
-and ``functions.format_tables`` writes the report lines from the tuples
-through the ``kernels.format_tables`` kernel.
+and rebuilds the other shards by homomorphism shifts (``_shifts``) in the
+``kernels.shift_tables`` kernel, which also sorts the found tables. The
+result keeps them as value tuples and builds ``FuncTable`` objects only when
+``found`` is read.
 """
 
 from __future__ import annotations

@@ -186,11 +186,10 @@ def verify_divisible(
         p for p in range(S.point_count) if partition.component_of_point[p] == label
     ]
     pencils = {p: lines_through_point(S, p) for p in points}
-    rows: dict[int, frozenset[int]] = {}
-    for p in points:
-        rows[p] = frozenset(
-            q for q in points if q == p or not (pencils[p] & pencils[q])
-        )
+    rows = {
+        p: frozenset(q for q in points if q == p or not (pencils[p] & pencils[q]))
+        for p in points
+    }
     for p in points:
         for q in rows[p]:
             if rows[q] != rows[p]:  # not an equivalence relation

@@ -192,26 +192,15 @@ def _intersection_criterion_holds(f: FuncTable) -> bool:
     nh = H.order
     for a in range(1, G.order):
         multiples = [G.zero]
-        while True:
-            nxt = G.add(multiples[-1], a)
-            if nxt == G.zero:
-                break
+        while (nxt := G.add(multiples[-1], a)) != G.zero:
             multiples.append(nxt)
+        steps = list(zip(multiples, multiples[1:] + multiples[:1]))
         for b in H.elements():
-            lhs = len(s_set(f, a, b)) == 2
-            rhs = True
-            for alpha in range(len(multiples)):
-                aa = multiples[alpha]
-                bb = multiples[(alpha + 1) % len(multiples)]
-                for d in H.elements():
-                    l1 = aa * nh + H.add(d, b)
-                    l2 = bb * nh + d
-                    if not common_points(S, l1, l2):
-                        rhs = False
-                        break
-                if not rhs:
-                    break
-            if lhs != rhs:
+            meet = all(
+                common_points(S, aa * nh + H.add(d, b), bb * nh + d)
+                for aa, bb in steps for d in H.elements()
+            )
+            if (len(s_set(f, a, b)) == 2) != meet:
                 return False
     return True
 

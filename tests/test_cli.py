@@ -150,6 +150,19 @@ def test_search_prints_format_table_of_every_found_table(capsys, group, normaliz
     }
 
 
+@pytest.mark.parametrize("flags, found", [
+    (("--group", "6"), 0),
+    (("--group", "2", "--max-results", "1"), 1),
+    (("--group", "2x4"), 1024),
+    (("--group", "2x4", "--max-results", "3"), 3),
+])
+def test_search_json_is_byte_identical_to_json_dumps(capsys, flags, found):
+    code, out, _ = run(capsys, "search", *flags, "--json")
+    data = json.loads(out)
+    assert code == 0 and len(data["found"]) == found
+    assert out == json.dumps(data, indent=2) + "\n"
+
+
 def test_search_budget(capsys):
     code, _, err = run(capsys, "search", "--group", "9")
     assert code == 2

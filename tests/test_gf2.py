@@ -124,3 +124,14 @@ def test_gold_semiplanarity_matches_gcd_rule(e):
     for alpha in range(1, e):
         verdict = is_semiplanar(gold_table(e, alpha))
         assert verdict.is_semiplanar == (gcd(alpha, e) == 1)
+
+
+@pytest.mark.parametrize("e", range(1, 9))
+def test_power_tables_match_field_pow(e):
+    field = make_field(e)
+    xs = range(field.size)
+    for alpha in range(1, e):
+        want = tuple(field_pow(field, x, (1 << alpha) + 1) for x in xs)
+        assert gold_table(e, alpha).values == want
+    want = tuple(field_pow(field, x, (1 << e) - 2) if x else 0 for x in xs)
+    assert inverse_table(e).values == want

@@ -2,13 +2,17 @@
 
 The compiled-parity tests skip when ``semibiplane._speedups`` is not built;
 ``python setup.py build_ext --inplace`` builds it. A lint test compiles the C
-source with ``gcc -Wall -Werror`` and skips without gcc or ``Python.h``.
+source with ``gcc -Wall -Wextra -Werror``, and a sanitizer test builds it
+with UBSan and runs every kernel against the twin; both skip without gcc or
+``Python.h``.
 """
 
+import gc
 import os
 import random
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -93,7 +97,9 @@ def public_kernels(module):
 
 def test_backends_export_the_same_kernels():
     names = public_kernels(_kernels_py)
-    assert names == ["format_tables", "search_tables", "semiplanar_witness", "shift_tables"]
+    assert names == [
+        "coset_labels", "format_tables", "search_tables", "semiplanar_witness", "shift_tables",
+    ]
     if _speedups is not None:
         assert public_kernels(_speedups) == names
     for name in names:
@@ -110,6 +116,51 @@ def test_witness_matches_oracle_every_backend(groups, data):
     want = oracles.first_witness(values, gfac, hfac)
     for impl in IMPLS:
         assert impl.semiplanar_witness(values, gadd, hsub, k, n) == want
+
+
+@given(st.sampled_from(oracles.ORACLE_GROUPS), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_coset_labels_match_oracle_every_backend(groups, narrow, data):
+    gfac, hfac = groups
+    G, H = make_group(gfac), make_group(hfac)
+    elements = st.integers(0, H.order - 1)
+    if narrow:
+        # values from a 1- to 3-element subset of H split into many components
+        elements = st.sampled_from(data.draw(st.lists(elements, min_size=1, max_size=3, unique=True)))
+    values = data.draw(st.lists(elements, min_size=G.order, max_size=G.order))
+    want = oracles.component_labels(values, gfac, hfac)
+    args = (values, add_table(G), add_table(H), sub_table(H), G.order, H.order)
+    for impl in IMPLS:
+        assert impl.coset_labels(*args) == want
+
+
+@needs_speedups
+def test_compiled_coset_labels_reject_bad_input():
+    # G = Z4, H = Z2: values, hadd and hsub are checked against n = 2
+    z2 = make_group([2])
+    gadd, hadd, hsub = add_table(make_group([4])), add_table(z2), sub_table(z2)
+    values = [0, 1, 0, 1]
+    assert _speedups.coset_labels(values, gadd, hadd, hsub, 4, 2) == (
+        _kernels_py.coset_labels(values, gadd, hadd, hsub, 4, 2)
+    )
+    bad = [
+        ("values has length 3; expected 4", ([0, 1, 0], gadd, hadd, hsub, 4, 2)),
+        ("gadd has length 15; expected 16", (values, gadd[:-1], hadd, hsub, 4, 2)),
+        ("hadd has length 16; expected 4", (values, gadd, gadd, hsub, 4, 2)),
+        ("hsub has length 3; expected 4", (values, gadd, hadd, hsub[:-1], 4, 2)),
+        (r"values\[3\] = 2 is outside \[0, 2\)", ([0, 1, 0, 2], gadd, hadd, hsub, 4, 2)),
+        (r"gadd\[0\] = -1 is outside", (values, (-1,) + gadd[1:], hadd, hsub, 4, 2)),
+        (r"hadd\[1\] = 2 is outside", (values, gadd, (0, 2, 1, 0), hsub, 4, 2)),
+        (r"hsub\[3\] = 1180591620717411303424 is outside",
+         (values, gadd, hadd, hsub[:3] + (2 ** 70,), 4, 2)),
+        ("k = 0", (values, gadd, hadd, hsub, 0, 2)),
+        ("k = 46341", (values, gadd, hadd, hsub, 46341, 2)),
+        ("n = 0", (values, gadd, hadd, hsub, 4, 0)),
+        ("n = 46341", (values, gadd, hadd, hsub, 4, 46341)),
+    ]
+    for message, args in bad:
+        with pytest.raises(ValueError, match=message):
+            _speedups.coset_labels(*args)
 
 
 @st.composite
@@ -175,6 +226,24 @@ def test_compiled_shift_tables_reject_bad_input():
         _speedups.shift_tables(46341, [], [], [])
 
 
+@needs_speedups
+@pytest.mark.parametrize("enabled", [True, False])
+def test_compiled_shift_tables_keep_the_gc_state(enabled):
+    G = make_group([2, 2])
+    hadd, shifts = add_table(G), _shifts(G, G)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        got = _speedups.shift_tables(4, hadd, shifts, [(0, 1, 1, 1)] * 1000)
+        assert len(got) == 1000 * len(shifts)
+        assert gc.isenabled() == enabled
+        with pytest.raises(ValueError, match="outside"):
+            _speedups.shift_tables(4, hadd, shifts, [(0, 1, 1, 1), (0, 1, 4, 1)])
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
 @given(st.integers(2, 16), st.data())
 @settings(max_examples=100, deadline=None)
 def test_format_tables_match_format_table_every_backend(k, data):
@@ -212,18 +281,86 @@ def test_compiled_format_tables_reject_bad_input():
         _speedups.format_tables([], 46341)
 
 
-def test_c_source_compiles_without_warnings(tmp_path):
+SOURCE = Path(__file__).parent.parent / "src" / "semibiplane" / "_speedups.c"
+
+
+def gcc_and_include():
     gcc = shutil.which("gcc")
     include = Path(sysconfig.get_paths()["include"])
     if gcc is None or not (include / "Python.h").exists():
         pytest.skip("gcc or Python.h not available")
-    source = Path(__file__).parent.parent / "src" / "semibiplane" / "_speedups.c"
+    return gcc, include
+
+
+def test_c_source_compiles_without_warnings(tmp_path):
+    gcc, include = gcc_and_include()
     proc = subprocess.run(
-        [gcc, "-c", "-Wall", "-Werror", f"-I{include}", str(source),
-         "-o", str(tmp_path / "_speedups.o")],
+        [gcc, "-c", "-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror",
+         f"-I{include}", str(SOURCE), "-o", str(tmp_path / "_speedups.o")],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+#: Runs every C kernel of a UBSan build, importable as ``_speedups``, on a
+#: small corpus and compares it with the pure twin.
+UBSAN_RUN = """
+import random
+import _speedups as c
+from semibiplane import _kernels_py as py
+from semibiplane.groups import add_table, make_group, sub_table
+from semibiplane.search import _shifts
+
+def same(name, *args):
+    assert getattr(c, name)(*args) == getattr(py, name)(*args), (name, args)
+
+rng = random.Random(5)
+for gfac, hfac in [([2], [4]), ([4], [2]), ([2, 2], [4]), ([6], [6]), ([2, 4], [2, 2, 2])]:
+    G, H = make_group(gfac), make_group(hfac)
+    k, n = G.order, H.order
+    gadd, gsub, hadd, hsub = add_table(G), sub_table(G), add_table(H), sub_table(H)
+    for _ in range(30):
+        pool = rng.sample(range(n), rng.randint(1, n))
+        values = [rng.choice(pool) for _ in range(k)]
+        same("semiplanar_witness", values, gadd, hsub, k, n)
+        same("coset_labels", values, gadd, hadd, hsub, k, n)
+    if k != n:
+        continue
+    for fix_zero, shard, pruning, fiber in [(True, -1, True, True), (False, -1, False, False),
+                                            (True, 1, True, False), (True, 1, False, True)]:
+        if k == 8 and (not pruning or shard < 0):
+            continue
+        same("search_tables", k, gadd, gsub, hsub, fix_zero, shard, pruning, fiber)
+    tables = c.search_tables(k, gadd, gsub, hsub, True, 1, True, True)[2] or [tuple(range(k))]
+    same("shift_tables", k, hadd, _shifts(G, H), tables)
+    same("format_tables", tables, k)
+for args in [([0, 1, 2], add_table(make_group([4])), sub_table(make_group([4])), 4, 4),
+             ([0, 1, 2, 2 ** 70], add_table(make_group([4])), sub_table(make_group([4])), 4, 4)]:
+    try:
+        c.semiplanar_witness(*args)
+    except ValueError:
+        continue
+    raise AssertionError(args)
+print("ok")
+"""
+
+
+def test_kernels_run_clean_under_ubsan(tmp_path):
+    gcc, include = gcc_and_include()
+    target = tmp_path / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
+    proc = subprocess.run(
+        [gcc, "-shared", "-fPIC", "-O1", "-g", "-fsanitize=undefined",
+         "-fno-sanitize-recover=all", f"-I{include}", str(SOURCE), "-o", str(target)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tmp_path), str(src)]),
+           "SEMIBIPLANE_PURE": "1"}
+    proc = subprocess.run([sys.executable, "-c", UBSAN_RUN], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
+    assert "runtime error" not in proc.stderr
 
 
 @needs_speedups
