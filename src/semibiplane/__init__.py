@@ -7,7 +7,6 @@ from .errors import (
     SearchBudgetError,
     TableParseError,
     TheoremViolationError,
-    UnsupportedGroupError,
 )
 from .functions import (
     FuncTable,

@@ -264,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("verify-paper", help="run the full verification checklist")
-    p.add_argument("--deep", action="store_true", help="include the e=5 construction")
+    p.add_argument("--deep", action="store_true",
+                   help="include the e=5 construction and the Z2x4 checks")
     p.add_argument("--inject-fault", help=argparse.SUPPRESS)
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_verify_paper)

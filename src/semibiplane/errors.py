@@ -5,10 +5,6 @@ exist where callers plausibly branch on the failure kind.
 """
 
 
-class UnsupportedGroupError(ValueError):
-    """Operation needs a group shape it does not support (e.g. non-cyclic)."""
-
-
 class InvalidTransformError(ValueError):
     """A supplied permutation is not an automorphism of the required group."""
 
@@ -33,4 +29,4 @@ class TheoremViolationError(RuntimeError):
 
 
 class SearchBudgetError(RuntimeError):
-    """The requested search space exceeds the configured budget."""
+    """The requested search or enumeration exceeds its budget."""

@@ -155,13 +155,16 @@ def equivalence_transform(
         raise InvalidTransformError(f"phi is not an automorphism of {G.name}")
     if not is_automorphism(H, psi):
         raise InvalidTransformError(f"psi is not an automorphism of {H.name}")
+    return FuncTable(G, H, transform_values(f.values, G, H, phi, psi, c, d))
+
+
+def transform_values(values: Sequence[int], G: GroupSpec, H: GroupSpec, phi: Sequence[int],
+                     psi: Sequence[int], c: int, d: int) -> tuple[int, ...]:
+    """psi(f(phi(x) + c)) + d on value tuples, unchecked (``equivalence_transform`` checks)."""
     gadd = add_table(G)
     hadd = add_table(H)
     k, nh = G.order, H.order
-    vals = tuple(
-        hadd[psi[f.values[gadd[phi[x] * k + c]]] * nh + d] for x in range(k)
-    )
-    return FuncTable(G, H, vals)
+    return tuple(hadd[psi[values[gadd[p * k + c]]] * nh + d] for p in phi)
 
 
 def parse_table(text: str, domain: GroupSpec, codomain: GroupSpec) -> FuncTable:

@@ -12,7 +12,10 @@ from functools import lru_cache
 from math import gcd, prod
 from typing import Iterable, Sequence
 
-from .errors import UnsupportedGroupError
+from .errors import SearchBudgetError
+
+#: Most candidate generator images ``automorphisms`` tries (Z2^4 has 65,536).
+AUT_CANDIDATE_BUDGET = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -142,19 +145,39 @@ def coset(G: GroupSpec, S: Iterable[int], rep: int) -> frozenset[int]:
 
 
 def automorphisms(G: GroupSpec) -> list[tuple[int, ...]]:
-    """Automorphisms of a cyclic group as index permutations x -> u*x.
-
-    Only single-factor groups are supported; callers needing transforms of
-    product groups supply their own permutations (see
-    ``functions.equivalence_transform``).
-    """
-    if len(G.factors) != 1:
-        raise UnsupportedGroupError(
-            f"automorphism enumeration supports cyclic groups only, got {G.name}"
-        )
+    """Automorphisms of G as index permutations, in lexicographic order:
+    the bijective homomorphisms, each fixed by its images y_i of the factor
+    generators, where any y_i with n_i * y_i = 0 gives one. Raises
+    ``SearchBudgetError`` first when there are over ``AUT_CANDIDATE_BUDGET``
+    candidate images."""
     k = G.order
-    return [
-        tuple((u * x) % k for x in range(k))
-        for u in range(1, k)
-        if gcd(u, k) == 1
-    ]
+    # |{y : n * y = 0}| is the product of gcd(n, m) over the factors m
+    candidates = prod(gcd(n, m) for n in G.factors for m in G.factors)
+    if candidates > AUT_CANDIDATE_BUDGET:
+        raise SearchBudgetError(
+            f"automorphisms of {G.name} would try {candidates} generator images, "
+            f"over the budget of {AUT_CANDIDATE_BUDGET}"
+        )
+    add = add_table(G)
+    maps = [(0,)]
+    for n in G.factors:
+        # x = low + stride * d with low < stride, so phi(x) = phi(low) + d * y
+        maps = [
+            tuple(add[v * k + m] for m in mult for v in phi)
+            for mult in torsion_multiples(G, n) for phi in maps
+        ]
+    return sorted(phi for phi in maps if len(set(phi)) == k)
+
+
+def torsion_multiples(G: GroupSpec, n: int) -> list[list[int]]:
+    """[0, y, 2y, ..., (n-1)y] for each y in G with n * y = 0, in order of y."""
+    k = G.order
+    add = add_table(G)
+    out = []
+    for y in G.elements():
+        mult = [0]
+        for _ in range(n):
+            mult.append(add[mult[-1] * k + y])
+        if mult[n] == 0:
+            out.append(mult[:n])
+    return out

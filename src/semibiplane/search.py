@@ -20,8 +20,8 @@ from time import perf_counter
 
 from . import kernels
 from .errors import SearchBudgetError
-from .functions import FuncTable, format_tables
-from .groups import GroupSpec, add_table, automorphisms, sub_table
+from .functions import FuncTable, format_tables, transform_values
+from .groups import GroupSpec, add_table, automorphisms, neg_table, sub_table, torsion_multiples
 from .incidence import Structure, components
 from .splitting import classify_split
 
@@ -139,16 +139,8 @@ def _shifts(G: GroupSpec, H: GroupSpec) -> list[tuple[int, ...]]:
     the difference table by chi_r(a), and maps the pruned search's leaves
     and semi-planar tables onto themselves; it moves f(1) by r.
     """
-    k, n1 = H.order, G.factors[0]
-    hadd = add_table(H)
-    out = []
-    for r in H.elements():
-        mult = [0]
-        for _ in range(n1):
-            mult.append(hadd[mult[-1] * k + r])
-        if mult[n1] == 0:
-            out.append(tuple(mult[x % n1] for x in range(k)))
-    return out
+    n1 = G.factors[0]
+    return [tuple(mult[x % n1] for x in G.elements()) for mult in torsion_multiples(H, n1)]
 
 
 def search_and_classify(
@@ -170,31 +162,20 @@ def search_and_classify(
 def orbit_reduce(
     results: list[FuncTable], G: GroupSpec, H: GroupSpec
 ) -> list[FuncTable]:
-    """One representative per equivalence class under every transform
-    psi(f(phi(x) + c)) + d, phi and psi ranging over the automorphisms.
-
-    The representative is the lexicographically least table of the class.
-    Requires cyclic G and H (automorphism enumeration is only supported
-    there)."""
-    aut_g = automorphisms(G)  # raises UnsupportedGroupError on product groups
+    """One representative per class under the transforms psi(f(phi(x) + c)) + d,
+    phi and psi automorphisms of G and H: the class's least table. It has
+    f(0) = 0, so for each phi, psi and c only d = -psi(f(c)) is tried."""
+    aut_g = automorphisms(G)
     aut_h = automorphisms(H)
-    gadd = add_table(G)
-    hadd = add_table(H)
-    k, nh = G.order, H.order
+    hneg = neg_table(H)
     reps = set()
     for f in results:
         if f.domain != G or f.codomain != H:
             raise ValueError(f"table over {f.domain.name}->{f.codomain.name} does not match the given groups")
-        best = None
-        for phi in aut_g:
-            for psi in aut_h:
-                for c in range(k):
-                    base = tuple(f.values[gadd[phi[x] * k + c]] for x in range(k))
-                    for d in range(nh):
-                        cand = tuple(hadd[psi[v] * nh + d] for v in base)
-                        if best is None or cand < best:
-                            best = cand
-        reps.add(best)
+        reps.add(min(
+            transform_values(f.values, G, H, phi, psi, c, hneg[psi[f.values[c]]])
+            for phi in aut_g for psi in aut_h for c in G.elements()
+        ))
     return [FuncTable(G, H, v) for v in sorted(reps)]
 
 

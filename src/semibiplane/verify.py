@@ -6,25 +6,26 @@ constructions, the hypercube split case, the Z6 non-existence search, the
 degenerate k = 2 case, the bijection rule, the solution-set and line-class
 characterizations, transform closure, fiber-limit soundness, and the merging
 of shift-rebuilt search shards. The CLI exposes this as ``verify-paper``.
+Transform closure is exact on the found sets of Z4 and Z2x2; ``deep`` adds
+Z2x4 there and to fiber-limit soundness, which over Z6 compares empty sets.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from math import gcd
+from math import gcd, prod
 
 from .functions import (
     FuncTable,
-    equivalence_transform,
     is_bijection,
     is_semiplanar,
     make_table,
     s_set,
+    transform_values,
 )
 from .gf2 import gold_table, inverse_table
-from .groups import automorphisms, is_subgroup, make_group
+from .groups import automorphisms, is_subgroup, make_group, neg_table
 from .incidence import (
     ComponentPartition,
     Structure,
@@ -46,8 +47,6 @@ from .splitting import (
     verify_phi_isomorphism,
 )
 
-_RNG_SEED = 0x5B9
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -63,11 +62,11 @@ def _unpruned(fix_zero: bool) -> SearchOptions:
 
 
 @lru_cache(maxsize=None)
-def _z6_search(opts: SearchOptions) -> SearchResult:
-    """Search over Z6 -> Z6, shared by the checks that ask for the same
+def _search(factors: tuple[int, ...], opts: SearchOptions) -> SearchResult:
+    """Search over G -> G, shared by the checks that ask for the same G and
     options; ``run_checks`` clears it so each run searches afresh."""
-    z6 = make_group([6])
-    return exhaustive_search(z6, z6, opts)
+    G = make_group(factors)
+    return exhaustive_search(G, G, opts)
 
 
 def _check_gold_family() -> CheckResult:
@@ -134,15 +133,15 @@ def _check_hypercube() -> CheckResult:
 
 def _check_z6() -> CheckResult:
     name = "z6-nonexistence"
-    norm = _z6_search(_unpruned(True))
-    full = _z6_search(_unpruned(False))
+    norm = _search((6,), _unpruned(True))
+    full = _search((6,), _unpruned(False))
     if norm.visited != 7776 or full.visited != 46656:
         return CheckResult(
             name, False,
             f"unpruned enumerations visited {norm.visited}/{full.visited}, expected 7776/46656",
         )
-    pruned_norm = _z6_search(SearchOptions())
-    pruned_full = _z6_search(SearchOptions(fix_zero_at_zero=False))
+    pruned_norm = _search((6,), SearchOptions())
+    pruned_full = _search((6,), SearchOptions(fix_zero_at_zero=False))
     counts = (norm.count, full.count, pruned_norm.count, pruned_full.count)
     if counts != (0, 0, 0, 0):
         return CheckResult(name, False, f"searches found {counts} semi-planar tables")
@@ -205,15 +204,10 @@ def _intersection_criterion_holds(f: FuncTable) -> bool:
     return True
 
 
-def _found_tables(factors) -> list[FuncTable]:
-    G = make_group(factors)
-    return list(exhaustive_search(G, G).found)
-
-
 def _split_corpus() -> list[tuple[FuncTable, Structure, ComponentPartition]]:
     corpus = []
-    for factors in ([2], [4], [2, 2]):
-        for f in _found_tables(factors):
+    for factors in ((2,), (4,), (2, 2)):
+        for f in _search(factors, SearchOptions()).found:
             S = Structure(f)
             part = components(S)
             if part.component_count == 2:
@@ -223,7 +217,7 @@ def _split_corpus() -> list[tuple[FuncTable, Structure, ComponentPartition]]:
 
 def _check_intersection_criterion() -> CheckResult:
     name = "intersection-criterion"
-    tables = [gold_table(2, 1)] + _found_tables([2, 2])
+    tables = [gold_table(2, 1), *_search((2, 2), SearchOptions()).found]
     for f in tables:
         if not _intersection_criterion_holds(f):
             return CheckResult(name, False, f"fails for table {f.values}")
@@ -259,51 +253,57 @@ def _check_difference_lemma() -> CheckResult:
     )
 
 
-def _check_transform_closure() -> CheckResult:
+def _check_transform_closure(deep: bool = False) -> CheckResult:
+    # N + H is every semi-planar table and transforms are bijections on all
+    # tables, so N closed under generators (renormalized by d = -psi(f(c)))
+    # makes the semi-planar tables and their complement unions of orbits.
     name = "transform-closure"
-    z6 = make_group([6])
-    rng = random.Random(_RNG_SEED)
-    tables = []
-    while len(tables) < 100:
-        values = tuple(rng.randrange(6) for _ in range(6))
-        f = make_table(z6, z6, values)
-        if not is_semiplanar(f).is_semiplanar:
-            tables.append(f)
-    tables.extend(_z6_search(SearchOptions()).found)  # none exist over Z6
-    auts = automorphisms(z6)
-    for f in tables:
-        verdict = is_semiplanar(f).is_semiplanar
-        for phi in auts:
-            for psi in auts:
-                for c in range(6):
-                    for d in range(6):
-                        g = equivalence_transform(f, phi, psi, c, d)
-                        if is_semiplanar(g).is_semiplanar != verdict:
-                            return CheckResult(
-                                name, False,
-                                f"verdict changed under (phi,psi,c,d) on {f.values}",
-                            )
+    sizes = []
+    for factors in ((4,), (2, 2), (2, 4)) if deep else ((4,), (2, 2)):
+        G = make_group(factors)
+        values = _search(factors, SearchOptions()).values
+        found = set(values)
+        if not found:
+            return CheckResult(name, False, f"{G.name}: the search found no table")
+        ident = tuple(G.elements())
+        auts = [a for a in automorphisms(G) if a != ident]
+        gens = [(a, ident, 0) for a in auts] + [(ident, a, 0) for a in auts]
+        gens += [(ident, ident, prod(factors[:i])) for i in range(len(factors))]
+        neg = neg_table(G)
+        for f in values:
+            for phi, psi, c in gens:
+                g = transform_values(f, G, G, phi, psi, c, neg[psi[f[c]]])
+                if g not in found:
+                    return CheckResult(name, False, f"{G.name}: {f} maps to {g}, not found")
+        sizes.append(f"{G.name} ({len(found)})")
     return CheckResult(
         name, True,
-        f"semi-planarity verdict invariant under all 144 Z6 transforms on {len(tables)} tables",
+        f"normalized found sets of {', '.join(sizes)} closed under every "
+        "automorphism of G and of H and the factor-generator translations",
     )
 
 
-def _check_fiber_limit() -> CheckResult:
+def _check_fiber_limit(deep: bool = False) -> CheckResult:
     name = "fiber-limit-soundness"
-    for fix_zero in (True, False):
-        for pruning in (True, False):
-            base = SearchOptions(
-                fix_zero_at_zero=fix_zero, use_pruning=pruning, use_fiber_limit=False
+    cases = [
+        ((6,), SearchOptions(fix_zero_at_zero=fz, use_pruning=pr, use_fiber_limit=False), 0)
+        for fz in (True, False) for pr in (True, False)
+    ]
+    if deep:  # Z6 has no table, so only Z2x4 can show a table the limit cuts
+        cases.append(((2, 4), SearchOptions(use_fiber_limit=False), 1024))
+    for factors, base, count in cases:
+        without = _search(factors, base)
+        with_limit = _search(factors, replace(base, use_fiber_limit=True))
+        if (without.values, without.count) != (with_limit.values, count):
+            return CheckResult(
+                name, False,
+                f"{without.domain.name} fix_zero={base.fix_zero_at_zero}: {with_limit.count} "
+                f"tables with the fiber limit, {without.count} without, expected {count}",
             )
-            without = _z6_search(base)
-            with_limit = _z6_search(replace(base, use_fiber_limit=True))
-            if without.values != with_limit.values:
-                return CheckResult(
-                    name, False, f"fiber limit changed results (fix_zero={fix_zero})"
-                )
     return CheckResult(
-        name, True, "fiber-limit pruning never changes the found set over Z6"
+        name, True,
+        "fiber-limit pruning keeps the found set over Z6, which has no tables"
+        + (", and the 1024 normalized tables over Z2xZ4" if deep else ""),
     )
 
 
@@ -311,18 +311,15 @@ def _check_worker_determinism() -> CheckResult:
     # Benchmark digests pin check names, hence the old name. Z4 and Z2x2
     # search one f(1) shard, rebuild the rest by shifts, and have tables.
     name = "worker-determinism"
-    for factors in ([4], [2, 2]):
-        G = make_group(factors)
+    for factors in ((4,), (2, 2)):
         for fix_zero in (True, False):
-            pruned = exhaustive_search(G, G, SearchOptions(fix_zero_at_zero=fix_zero))
-            brute = exhaustive_search(G, G, _unpruned(fix_zero))
-            got = (pruned.count, [f.values for f in pruned.found])
-            want = (brute.count, [f.values for f in brute.found])
-            if got != want:
+            pruned = _search(factors, SearchOptions(fix_zero_at_zero=fix_zero))
+            brute = _search(factors, _unpruned(fix_zero))
+            if (pruned.count, pruned.values) != (brute.count, brute.values):
                 return CheckResult(
                     name, False,
-                    f"{G.name} fix_zero={fix_zero}: shift-reduced search differs "
-                    f"from brute force (count {got[0]} vs {want[0]})",
+                    f"{pruned.domain.name} fix_zero={fix_zero}: shift-reduced search "
+                    f"differs from brute force (count {pruned.count} vs {brute.count})",
                 )
     return CheckResult(
         name, True,
@@ -344,15 +341,15 @@ def run_checks(inject_fault: str | None = None, deep: bool = False) -> list[Chec
         _check_intersection_criterion,
         _check_p_characterization,
         _check_difference_lemma,
-        _check_transform_closure,
-        _check_fiber_limit,
+        partial(_check_transform_closure, deep),
+        partial(_check_fiber_limit, deep),
         _check_worker_determinism,
     ]
-    _z6_search.cache_clear()
+    _search.cache_clear()
     try:
         results = [p() for p in producers]
     finally:
-        _z6_search.cache_clear()
+        _search.cache_clear()
     if inject_fault is not None:
         names = {r.name for r in results}
         if inject_fault not in names:

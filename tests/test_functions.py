@@ -245,6 +245,26 @@ def test_is_automorphism_matches_all_pairs_z2x4():
     assert [p for p in permutations(range(8)) if is_automorphism(G, p)] == additive
 
 
+@pytest.mark.parametrize("factors, size", [([2, 2], 6), ([2, 4], 8), ([2, 2, 2], 168)])
+def test_automorphisms_match_all_pairs_oracle(factors, size):
+    # additive maps fix 0, so the other k-1 entries are permuted
+    from itertools import permutations
+
+    from semibiplane import automorphisms
+
+    k = oracles.group_order(factors)
+    perms = ((0, *p) for p in permutations(range(1, k)))
+    additive = [p for p in perms if additive_on_all_pairs(factors, p)]
+    assert len(additive) == size
+    assert automorphisms(make_group(factors)) == additive
+
+
+def test_automorphisms_of_v4_are_the_hand_written_ones(z2z2):
+    from semibiplane import automorphisms
+
+    assert set(automorphisms(z2z2)) == set(V4_AUTOMORPHISMS)
+
+
 def test_transform_preserves_semiplanarity_exhaustive_z6(z6):
     from semibiplane import automorphisms
 

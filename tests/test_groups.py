@@ -1,10 +1,12 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from semibiplane import (
-    UnsupportedGroupError,
+    SearchBudgetError,
     automorphisms,
     coset,
     index2_subgroups,
@@ -160,6 +162,15 @@ def test_automorphisms_cyclic():
     assert len(automorphisms(make_group([8]))) == 4
 
 
-def test_automorphisms_non_cyclic_rejected():
-    with pytest.raises(UnsupportedGroupError):
-        automorphisms(make_group([2, 2]))
+def test_automorphisms_accept_product_groups():
+    auts = automorphisms(make_group([2, 2]))
+    assert len(auts) == 6
+    assert auts == sorted(auts)
+
+
+def test_automorphisms_refuse_z2_to_the_4_before_enumerating():
+    # 16^4 candidate generator images, over the 2^12 budget
+    t0 = time.perf_counter()
+    with pytest.raises(SearchBudgetError, match="65536"):
+        automorphisms(make_group([2, 2, 2, 2]))
+    assert time.perf_counter() - t0 < 0.1

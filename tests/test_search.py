@@ -9,7 +9,8 @@ from semibiplane import (
     SearchBudgetError,
     SearchOptions,
     SearchResult,
-    UnsupportedGroupError,
+    automorphisms,
+    equivalence_transform,
     exhaustive_search,
     is_semiplanar,
     make_group,
@@ -20,7 +21,11 @@ from semibiplane import (
 from semibiplane import _kernels_py, search, verify
 from semibiplane.groups import add_table, sub_table
 from semibiplane.search import search_result_dict
-from semibiplane.verify import _check_worker_determinism
+from semibiplane.verify import (
+    _check_fiber_limit,
+    _check_transform_closure,
+    _check_worker_determinism,
+)
 
 UNPRUNED = SearchOptions(use_pruning=False, use_fiber_limit=False)
 
@@ -236,15 +241,26 @@ def test_search_result_rejects_count_below_stored(z4):
         SearchResult(0, 0, ((0, 1, 0, 3),), 0.0, z4, z4)
 
 
-def test_shard_merge_check_fails_when_a_shift_is_dropped(monkeypatch):
+@pytest.fixture
+def fresh_searches():
+    """Checks called outside ``run_checks`` share its search cache; clear it
+    around a test that patches the search."""
+    verify._search.cache_clear()
+    yield
+    verify._search.cache_clear()
+
+
+def test_shard_merge_check_fails_when_a_shift_is_dropped(monkeypatch, fresh_searches):
     assert _check_worker_determinism().passed
+    verify._search.cache_clear()
     shifts = search._shifts
     # without its last nonzero shift, one f(1) shard is neither searched nor rebuilt
     monkeypatch.setattr(search, "_shifts", lambda G, H: shifts(G, H)[:-1])
     assert not _check_worker_determinism().passed
 
 
-def test_verify_runs_each_z6_search_once_per_run(monkeypatch):
+@pytest.mark.parametrize("deep", [False, True])
+def test_verify_runs_each_search_once_per_run(monkeypatch, deep):
     calls = []
     real = verify.exhaustive_search
 
@@ -253,10 +269,40 @@ def test_verify_runs_each_z6_search_once_per_run(monkeypatch):
         return real(G, H, opts)
 
     monkeypatch.setattr(verify, "exhaustive_search", spy)
-    assert all(r.passed for r in verify.run_checks())
-    z6 = [opts for name, opts in calls if name == "Z6"]
-    assert len(z6) == len(set(z6)) == 8
-    assert verify._z6_search.cache_info().currsize == 0
+    assert all(r.passed for r in verify.run_checks(deep=deep))
+    assert len(calls) == len(set(calls))
+    assert len([c for c in calls if c[0] == "Z6"]) == 8
+    assert len([c for c in calls if c[0] == "Z2xZ4"]) == (2 if deep else 0)
+    assert verify._search.cache_info().currsize == 0
+
+
+def test_fiber_limit_check_fails_when_the_limit_drops_a_table(monkeypatch, fresh_searches):
+    real = verify.exhaustive_search
+
+    def drop_one(G, H, opts=None):
+        result = real(G, H, opts)
+        if not (opts or SearchOptions()).use_fiber_limit or not result.values:
+            return result
+        return replace(result, count=result.count - 1, values=result.values[1:])
+
+    monkeypatch.setattr(verify, "exhaustive_search", drop_one)
+    assert _check_fiber_limit(False).passed  # Z6 has no table to drop
+    assert not _check_fiber_limit(True).passed
+
+
+@pytest.mark.parametrize("fault", ["zero table", "one wrong entry"])
+def test_transform_closure_fails_under_a_broken_transform(monkeypatch, fresh_searches, fault):
+    real = verify.transform_values
+
+    def broken(values, G, H, phi, psi, c, d):
+        g = real(values, G, H, phi, psi, c, d)
+        if fault == "zero table":
+            return (0,) * len(g)
+        return g[:-1] + ((g[-1] + 1) % H.order,)
+
+    assert _check_transform_closure().passed
+    monkeypatch.setattr(verify, "transform_values", broken)
+    assert not _check_transform_closure().passed
 
 
 def test_search_result_dict_schema(z6):
@@ -312,7 +358,17 @@ def test_orbit_reduce_preserves_semiplanarity_classes(z4):
         assert is_semiplanar(rep).is_semiplanar
 
 
-def test_orbit_reduce_rejects_non_cyclic(z2z2):
-    f = make_table(z2z2, z2z2, (0, 1, 1, 1))
-    with pytest.raises(UnsupportedGroupError):
-        orbit_reduce([f], z2z2, z2z2)
+def test_orbit_reduce_covers_the_v4_found_set(z2z2):
+    found = exhaustive_search(z2z2, z2z2).found
+    reps = orbit_reduce(list(found), z2z2, z2z2)
+    auts = automorphisms(z2z2)
+    orbits = [
+        {
+            equivalence_transform(rep, phi, psi, c, d).values
+            for phi in auts for psi in auts for c in range(4) for d in range(4)
+        }
+        for rep in reps
+    ]
+    assert set(reps) <= set(found)
+    assert sum(map(len, orbits)) == len(set().union(*orbits))  # disjoint
+    assert set().union(*orbits) >= {f.values for f in found}
