@@ -118,6 +118,9 @@ def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, use_fib
             fib[v] -= 1
 
     dfs(0)
+    # dfs holds itself through its closure cell; without this del the cycle
+    # keeps found, f and cnt alive until the next full garbage collection.
+    del dfs
     return visited, count, found
 
 

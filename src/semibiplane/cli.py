@@ -182,22 +182,15 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    try:
-        results = run_checks(inject_fault=args.inject_fault, deep=args.deep)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    results = run_checks(inject_fault=args.inject_fault, deep=args.deep)  # ValueError exits 2
     if args.json:
         payload = {
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
+            "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
             "passed": all(r.passed for r in results),
         }
         _emit_json(payload, args.out)
     else:
-        lines = [
-            f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
-        ]
+        lines = [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results]
         good = sum(r.passed for r in results)
         lines.append(f"{good}/{len(results)} checks passed")
         _emit("\n".join(lines), args.out)
@@ -230,29 +223,7 @@ def _cmd_inverse(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="semibiplane",
-        description="Construct and verify semi-biplanes from semi-planar function tables.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="test a table for semi-planarity")
-    _add_function_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("build", help="build the incidence structure and verify the axioms")
-    _add_function_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_build)
-
-    p = sub.add_parser("classify", help="classify the splitting case of the structure")
-    _add_function_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("search", help="exhaustively search a group for semi-planar tables")
+def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True, help="group factors, e.g. '6' or '2x2'")
     p.add_argument("--no-normalize", action="store_true", help="do not pin f(0) = 0")
     p.add_argument("--no-prune", action="store_true", help="disable difference-count pruning")
@@ -260,45 +231,74 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-results", type=int, help="store at most this many tables")
     p.add_argument("--max-order", type=int, default=SearchOptions().max_order,
                    help="search-budget guard on the group order")
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser("verify-paper", help="run the full verification checklist")
+
+def _add_verify_paper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--deep", action="store_true",
                    help="include the e=5 construction and the Z2x4 checks")
     p.add_argument("--inject-fault", help=argparse.SUPPRESS)
-    _add_output_flags(p)
-    p.set_defaults(handler=_cmd_verify_paper)
 
-    p = sub.add_parser("export-dot", help="emit the incidence graph in DOT format")
-    _add_function_flags(p)
+
+def _add_export_dot_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--components", action="store_true", help="color by component")
     p.add_argument("--out", help="write output to a file instead of stdout")
-    p.set_defaults(handler=_cmd_export_dot)
 
-    p = sub.add_parser("gold", help="emit the table of x^(2^alpha + 1) over GF(2^e)")
+
+def _add_gold_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--field-e", type=int, required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_gold)
 
-    p = sub.add_parser("inverse", help="emit the table of x^(2^e - 2) over GF(2^e)")
+
+def _add_inverse_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--field-e", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_inverse)
 
+
+# name, help, flag adders, handler: one row per subcommand, in usage order.
+_TABLE_IO = (_add_function_flags, _add_output_flags)
+_COMMANDS = (
+    ("check", "test a table for semi-planarity", _TABLE_IO, _cmd_check),
+    ("build", "build the incidence structure and verify the axioms", _TABLE_IO, _cmd_build),
+    ("classify", "classify the splitting case of the structure", _TABLE_IO, _cmd_classify),
+    ("search", "exhaustively search a group for semi-planar tables",
+     (_add_search_flags, _add_output_flags), _cmd_search),
+    ("verify-paper", "run the full verification checklist",
+     (_add_verify_paper_flags, _add_output_flags), _cmd_verify_paper),
+    ("export-dot", "emit the incidence graph in DOT format",
+     (_add_function_flags, _add_export_dot_flags), _cmd_export_dot),
+    ("gold", "emit the table of x^(2^alpha + 1) over GF(2^e)", (_add_gold_flags,), _cmd_gold),
+    ("inverse", "emit the table of x^(2^e - 2) over GF(2^e)", (_add_inverse_flags,), _cmd_inverse),
+)
+_NAMES = tuple(row[0] for row in _COMMANDS)
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or with ``only`` that one.
+    The filtered parser's usage line still names every subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="semibiplane",
+        description="Construct and verify semi-biplanes from semi-planar function tables.",
+    )
+    # A metavar on the full parser would rename "command" in its error messages.
+    usage = {} if only is None else {"metavar": "{" + ",".join(_NAMES) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **usage)
+    for name, help_text, adders, handler in _COMMANDS:
+        if only in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for add in adders:
+                add(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    only = argv[0] if argv and argv[0] in _NAMES else None
+    args = _build_parser(only).parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TableParseError) as exc:
+    except (UsageError, ValueError) as exc:  # TableParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,10 @@ from typing import Iterable, Sequence
 
 from .errors import SearchBudgetError
 
-#: Most candidate generator images ``automorphisms`` tries (Z2^4 has 65,536).
-AUT_CANDIDATE_BUDGET = 1 << 12
+#: Most candidate generator images times group order that ``automorphisms``
+#: takes on: Z2x2x4 has 1,024 x 16, Z2^4 65,536 x 16. Candidates >= order,
+#: so this also bounds the order^2 addition table it builds.
+AUT_WORK_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -148,15 +150,15 @@ def automorphisms(G: GroupSpec) -> list[tuple[int, ...]]:
     """Automorphisms of G as index permutations, in lexicographic order:
     the bijective homomorphisms, each fixed by its images y_i of the factor
     generators, where any y_i with n_i * y_i = 0 gives one. Raises
-    ``SearchBudgetError`` first when there are over ``AUT_CANDIDATE_BUDGET``
-    candidate images."""
+    ``SearchBudgetError`` first when the candidate images times the order
+    exceed ``AUT_WORK_BUDGET``."""
     k = G.order
     # |{y : n * y = 0}| is the product of gcd(n, m) over the factors m
     candidates = prod(gcd(n, m) for n in G.factors for m in G.factors)
-    if candidates > AUT_CANDIDATE_BUDGET:
+    if candidates * k > AUT_WORK_BUDGET:
         raise SearchBudgetError(
-            f"automorphisms of {G.name} would try {candidates} generator images, "
-            f"over the budget of {AUT_CANDIDATE_BUDGET}"
+            f"automorphisms of {G.name} would try {candidates} generator images "
+            f"on {k} elements, over the budget of {AUT_WORK_BUDGET}"
         )
     add = add_table(G)
     maps = [(0,)]

@@ -89,13 +89,16 @@ def exhaustive_search(
     """Search all tables f: G -> H (f(0) pinned to 0 when normalizing).
 
     ``values`` (and ``found``) list the semi-planar tables in lexicographic
-    order, truncated at ``max_results``; ``count`` is always the full number
-    found. ``visited`` counts complete assignments examined, so with pruning
-    disabled it equals the whole enumeration size.
+    order, truncated at ``max_results`` (a negative cap is a ValueError);
+    ``count`` is always the full number found. ``visited`` counts complete
+    assignments examined, so with pruning disabled it equals the whole
+    enumeration size.
     """
     opts = opts or SearchOptions()
     if G.order != H.order:
         raise ValueError(f"groups must have equal order, got {G.order} and {H.order}")
+    if opts.max_results is not None and opts.max_results < 0:
+        raise ValueError(f"max_results must be >= 0, got {opts.max_results}")
     k = G.order
     if k > opts.max_order:
         raise SearchBudgetError(

@@ -1,4 +1,7 @@
+import argparse
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +166,15 @@ def test_search_json_is_byte_identical_to_json_dumps(capsys, flags, found):
     assert out == json.dumps(data, indent=2) + "\n"
 
 
+def test_search_negative_max_results_is_usage_error(capsys):
+    code, out, err = run(capsys, "search", "--group", "4", "--max-results", "-1", "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "max_results" in err
+    code, out, _ = run(capsys, "search", "--group", "4", "--max-results", "0", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["count"] == 8 and data["found"] == []
+
+
 def test_search_budget(capsys):
     code, _, err = run(capsys, "search", "--group", "9")
     assert code == 2
@@ -297,3 +309,53 @@ def test_workers_flag_is_usage_error(capsys, argv):
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2
+
+
+# Help, usage and error bytes of every subcommand and of the usage failures,
+# captured with COLUMNS=80 from the parser that added all eight subcommands
+# on every call. Each entry: argv, exit code, stdout, stderr.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]) or "(empty)")
+def test_help_and_usage_errors_are_byte_identical(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    assert run(capsys, *case["argv"]) == (case["code"], case["out"], case["err"])
+
+
+@pytest.fixture
+def subparsers_added(monkeypatch):
+    added = []
+    original = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return original(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return added
+
+
+ALL_COMMANDS = [
+    "check", "build", "classify", "search", "verify-paper", "export-dot", "gold", "inverse",
+]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (("build", "--field-e", "3", "--alpha", "1", "--json"), ["build"]),
+    (("search", "--group", "2x2", "--json"), ["search"]),
+    (("--help",), ALL_COMMANDS),
+    (("buil",), ALL_COMMANDS),
+    ((), ALL_COMMANDS),
+])
+def test_only_the_invoked_subcommand_gets_a_parser(capsys, subparsers_added, argv, names):
+    run(capsys, *argv)
+    assert subparsers_added == names
+
+
+def test_main_reads_sys_argv_when_argv_is_none(capsys, monkeypatch, subparsers_added):
+    # the console script calls main() with no arguments
+    monkeypatch.setattr(sys, "argv", ["semibiplane", "gold", "--field-e", "3", "--alpha", "1"])
+    assert main() == 0
+    assert capsys.readouterr().out == "0,1,3,4,5,6,7,2\n"
+    assert subparsers_added == ["gold"]

@@ -1,4 +1,5 @@
 import time
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -168,9 +169,29 @@ def test_automorphisms_accept_product_groups():
     assert auts == sorted(auts)
 
 
+@pytest.mark.parametrize("factors, size", [
+    ([2, 2, 2], 168), ([4, 4], 96), ([2, 2, 4], 192), ([2, 8], 16),
+    ([2, 6], 12), ([2, 2, 3], 12), ([3, 3], 48),
+    *(([n], sum(gcd(u, n) == 1 for u in range(n))) for n in range(2, 16)),
+])
+def test_automorphisms_admit_every_order_up_to_15_and_the_order_16_products(factors, size):
+    G = make_group(factors)
+    auts = automorphisms(G)
+    assert len(auts) == size  # |Aut(Zn)| is Euler's phi(n)
+    assert tuple(range(G.order)) in auts
+
+
 def test_automorphisms_refuse_z2_to_the_4_before_enumerating():
-    # 16^4 candidate generator images, over the 2^12 budget
+    # 16^4 candidate generator images on 16 elements, over the 2^14 budget
     t0 = time.perf_counter()
     with pytest.raises(SearchBudgetError, match="65536"):
         automorphisms(make_group([2, 2, 2, 2]))
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_automorphisms_refuse_z512_before_building_its_addition_table():
+    # 512 candidates x 512 elements: the bound is on work, not on candidates
+    t0 = time.perf_counter()
+    with pytest.raises(SearchBudgetError, match="Z512"):
+        automorphisms(make_group([512]))
+    assert time.perf_counter() - t0 < 0.01

@@ -244,6 +244,21 @@ def test_compiled_shift_tables_keep_the_gc_state(enabled):
         gc.enable() if was_enabled else gc.disable()
 
 
+@pytest.mark.parametrize("impl", IMPLS)
+def test_search_tables_leaves_no_cyclic_garbage(impl):
+    # A cycle would keep the found list alive until a full collection.
+    k, gadd, gsub = tables_for([2, 2])
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        _, count, found = impl.search_tables(k, gadd, gsub, gsub, True, -1, True, True)
+        assert count == len(found) == 48
+        assert gc.collect() == 0
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
 @given(st.integers(2, 16), st.data())
 @settings(max_examples=100, deadline=None)
 def test_format_tables_match_format_table_every_backend(k, data):

@@ -225,6 +225,13 @@ def test_max_results_keeps_the_sorted_prefix(z2z2, cap):
     assert capped.count == full.count == 192
 
 
+@pytest.mark.parametrize("cap", [-1, -2, -48])
+def test_negative_max_results_is_refused_not_a_shorter_list(z2z2, cap):
+    # values[:-1] would silently drop the last table while count stays 48
+    with pytest.raises(ValueError, match="max_results"):
+        exhaustive_search(z2z2, z2z2, SearchOptions(max_results=cap))
+
+
 @pytest.mark.parametrize("values, match", [
     (((0, 1, 2, 4),), "entry 4"),
     (((0, 1, 2, -1),), "entry -1"),
