@@ -34,7 +34,7 @@ def semiplanar_witness(values, gadd, hsub, k, n):
     return None
 
 
-def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, use_fiber_limit):
+def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, unused=None):
     """Enumerate value tables of length k in lexicographic order.
 
     Returns ``(visited, count, found)`` where ``visited`` is the number of
@@ -44,17 +44,14 @@ def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, use_fib
     ``fix_zero`` pins f(0) = 0; ``shard_val >= 0`` pins f(1), the axis
     ``exhaustive_search`` shards on. With ``use_pruning`` the enumeration
     keeps incremental per-(a, y) counts of finished difference pairs and
-    backtracks once any count exceeds 2; with ``use_fiber_limit`` (active only
-    for k > 4) it backtracks once a partial fiber exceeds k/2. Flags change
-    the work done, never the result: without pruning every leaf is checked
-    by ``semiplanar_witness``, so with both rules off this is the plain
-    enumeration the pruned route is verified against.
+    backtracks once any count exceeds 2. Pruning changes the work done, never
+    the result: without it every leaf is checked by ``semiplanar_witness``,
+    so this is the plain enumeration the pruned route is verified against.
+    ``unused`` is accepted and ignored until the next benchmark change
+    removes it.
     """
-    fiber_on = bool(use_fiber_limit) and k > 4
     f = [0] * k
     cnt = [0] * (k * k)  # cnt[a*k + y], a = 0 row unused
-    fib = [0] * k
-    cap = k // 2
     visited = 0
     count = 0
     found = []
@@ -85,7 +82,6 @@ def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, use_fib
             candidates = range(k)
         for v in candidates:
             f[x] = v
-            fib[v] += 1
             if use_pruning:
                 for u in range(x):
                     fu = f[u]
@@ -99,8 +95,7 @@ def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, use_fib
                     cnt[i] = c
                     if c == 3:
                         viol += 1
-            prune = (fiber_on and fib[v] > cap) or (use_pruning and viol > 0)
-            if not prune:
+            if viol == 0:
                 dfs(x + 1)
             if use_pruning:
                 for u in range(x):
@@ -115,7 +110,6 @@ def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, use_fib
                     cnt[i] = c
                     if c == 2:
                         viol -= 1
-            fib[v] -= 1
 
     dfs(0)
     # dfs holds itself through its closure cell; without this del the cycle

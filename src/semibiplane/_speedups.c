@@ -113,10 +113,10 @@ semiplanar_witness(PyObject *self, PyObject *args, PyObject *kwds)
 
 /* Depth-first search state; the arrays are the pure twin's locals. */
 typedef struct {
-    int k, cap, shard_val, viol, fix_zero, use_pruning, fiber_on, failed;
+    int k, shard_val, viol, fix_zero, use_pruning, failed;
     long long visited, count;
     const int *gadd, *gsub, *hsub;
-    int *f, *cnt, *fib, *scratch;
+    int *f, *cnt, *scratch;
     PyObject *found;
 } Search;
 
@@ -180,14 +180,12 @@ dfs(Search *s, int x)
     }
     for (int v = lo; v < hi && !s->failed; v++) {
         s->f[x] = v;
-        s->fib[v]++;
         if (s->use_pruning)
             update_counts(s, x, 1);
-        if (!((s->fiber_on && s->fib[v] > s->cap) || s->viol > 0))
+        if (s->viol == 0)
             dfs(s, x + 1);
         if (s->use_pruning)
             update_counts(s, x, -1);
-        s->fib[v]--;
     }
 }
 
@@ -195,16 +193,13 @@ static PyObject *
 search_tables(PyObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"k", "gadd", "gsub", "hsub", "fix_zero",
-                             "shard_val", "use_pruning", "use_fiber_limit",
-                             NULL};
-    PyObject *gadd_o, *gsub_o, *hsub_o, *result = NULL;
-    int use_fiber_limit;
+                             "shard_val", "use_pruning", "unused", NULL};
+    PyObject *gadd_o, *gsub_o, *hsub_o, *unused = NULL, *result = NULL;
     Search s = {0};
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOOOpipp", kwlist, &s.k,
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOOOpip|O", kwlist, &s.k,
                                      &gadd_o, &gsub_o, &hsub_o, &s.fix_zero,
-                                     &s.shard_val, &s.use_pruning,
-                                     &use_fiber_limit))
+                                     &s.shard_val, &s.use_pruning, &unused))
         return NULL;
     int k = s.k;
     if (k < 2 || k > MAX_K)
@@ -212,10 +207,8 @@ search_tables(PyObject *self, PyObject *args, PyObject *kwds)
     if (s.shard_val >= k)
         return PyErr_Format(PyExc_ValueError, "shard_val = %d is not below k = %d",
                             s.shard_val, k);
-    s.cap = k / 2;
-    s.fiber_on = use_fiber_limit && k > 4;
     size_t kk = (size_t)k * k;
-    int *buf = calloc(3 * (size_t)k + 4 * kk, sizeof(int));
+    int *buf = calloc(2 * (size_t)k + 4 * kk, sizeof(int));
     if (buf == NULL)
         return PyErr_NoMemory();
     int *gadd = buf, *gsub = gadd + kk, *hsub = gsub + kk;
@@ -224,8 +217,7 @@ search_tables(PyObject *self, PyObject *args, PyObject *kwds)
     s.hsub = hsub;
     s.cnt = hsub + kk;
     s.f = s.cnt + kk;
-    s.fib = s.f + k;
-    s.scratch = s.fib + k;
+    s.scratch = s.f + k;
     if (to_ints(gadd_o, kk, k, "gadd", gadd) == 0
             && to_ints(gsub_o, kk, k, "gsub", gsub) == 0
             && to_ints(hsub_o, kk, k, "hsub", hsub) == 0
@@ -520,9 +512,11 @@ static PyMethodDef methods[] = {
     {"search_tables", (PyCFunction)(void (*)(void))search_tables,
      METH_VARARGS | METH_KEYWORDS,
      "search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, "
-     "use_fiber_limit)\n--\n\n"
+     "unused=None)\n--\n\n"
      "Enumerate value tables of length k in lexicographic order; returns\n"
-     "(visited, count, found). See the pure-Python twin for the contract."},
+     "(visited, count, found). ``unused`` is accepted and ignored until the\n"
+     "next benchmark change removes it. See the pure-Python twin for the\n"
+     "contract."},
     {"shift_tables", (PyCFunction)(void (*)(void))shift_tables,
      METH_VARARGS | METH_KEYWORDS,
      "shift_tables(k, hadd, shifts, tables)\n--\n\n"

@@ -160,7 +160,6 @@ def _cmd_search(args) -> int:
     opts = SearchOptions(
         fix_zero_at_zero=not args.no_normalize,
         use_pruning=not args.no_prune,
-        use_fiber_limit=not args.no_fiber_limit,
         max_results=args.max_results,
         max_order=args.max_order,
     )
@@ -227,7 +226,9 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--group", required=True, help="group factors, e.g. '6' or '2x2'")
     p.add_argument("--no-normalize", action="store_true", help="do not pin f(0) = 0")
     p.add_argument("--no-prune", action="store_true", help="disable difference-count pruning")
-    p.add_argument("--no-fiber-limit", action="store_true", help="disable fiber-size pruning")
+    # Accepted and ignored: the benchmark's unpruned commands still pass it.
+    # The next benchmark change drops it.
+    p.add_argument("--no-fiber-limit", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--max-results", type=int, help="store at most this many tables")
     p.add_argument("--max-order", type=int, default=SearchOptions().max_order,
                    help="search-budget guard on the group order")

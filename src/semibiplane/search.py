@@ -2,14 +2,16 @@
 
 Tables are assigned value by value in index order. The pruned route keeps
 incremental difference-pair counts and backtracks the moment any count
-exceeds 2 (optionally also when a partial fiber exceeds k/2); the unpruned
-route enumerates every table and applies the direct checker, which makes the
-two routes independent implementations that must agree. Each searched value
-of f(1) is one shard. The pruned route searches one f(1) per coset of H[n1]
-and rebuilds the other shards by homomorphism shifts (``_shifts``) in the
-``kernels.shift_tables`` kernel, which also sorts the found tables. The
-result keeps them as value tuples and builds ``FuncTable`` objects only when
-``found`` is read.
+exceeds 2; the unpruned route enumerates every table and applies the direct
+checker, which makes the two routes independent implementations that must
+agree. The pruning also enforces the fiber bound: a fiber of size s puts
+s(s-1) finished pairs into the k-1 cells (a, 0), so s = k//2 + 1 forces a
+count of 3 for every k > 4 except 5 and 7, odd orders with no semi-planar
+table. Each searched value of f(1) is one shard. The pruned route searches
+one f(1) per coset of H[n1] and rebuilds the other shards by homomorphism
+shifts (``_shifts``) in the ``kernels.shift_tables`` kernel, which also sorts
+the found tables. The result keeps them as value tuples and builds
+``FuncTable`` objects only when ``found`` is read.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ DEFAULT_MAX_ORDER = 8
 class SearchOptions:
     fix_zero_at_zero: bool = True
     use_pruning: bool = True
-    use_fiber_limit: bool = True
     max_results: int | None = None
     max_order: int = DEFAULT_MAX_ORDER
 
@@ -110,18 +111,14 @@ def exhaustive_search(
     hadd = add_table(H)
     hsub = sub_table(H)
     t0 = perf_counter()
-    # Shifts keep the difference counts but not the fibers. With pruning on,
-    # a fiber of size s has s(s-1) <= 2(k-1), which implies the fiber limit
-    # k//2 except at k = 5 and 7.
-    reduce = opts.use_pruning and not (opts.use_fiber_limit and k in (5, 7))
-    chis = _shifts(G, H) if reduce else [(0,) * k]
+    # Shifts keep the difference counts, so they map the pruned search onto
+    # itself; the unpruned route stays the plain enumeration.
+    chis = _shifts(G, H) if opts.use_pruning else [(0,) * k]
     reps = sorted({min(hadd[s * k + chi[1]] for chi in chis) for s in range(k)})
 
     shards = [
         kernels.search_tables(
-            k, gadd, gsub, hsub,
-            opts.fix_zero_at_zero, shard_val,
-            opts.use_pruning, opts.use_fiber_limit,
+            k, gadd, gsub, hsub, opts.fix_zero_at_zero, shard_val, opts.use_pruning
         )
         for shard_val in reps
     ]

@@ -36,7 +36,7 @@ from semibiplane.verify import (
     _check_worker_determinism,
 )
 
-UNPRUNED = SearchOptions(use_pruning=False, use_fiber_limit=False)
+UNPRUNED = SearchOptions(use_pruning=False)
 
 
 def report(criterion, elapsed, detail):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -108,7 +109,7 @@ def test_classify_not_semiplanar(capsys):
 
 
 def test_search_z6_json(capsys):
-    code, out, _ = run(capsys, "search", "--group", "6", "--no-prune", "--no-fiber-limit", "--json")
+    code, out, _ = run(capsys, "search", "--group", "6", "--no-prune", "--json")
     assert code == 0
     data = json.loads(out)
     assert data["group"] == "Z6"
@@ -116,6 +117,27 @@ def test_search_z6_json(capsys):
     assert data["visited"] == 7776
     assert data["count"] == 0
     assert data["found"] == []
+
+
+@pytest.mark.parametrize("group, normalize, visited", [
+    ("6", True, 6 ** 5), ("6", False, 6 ** 6), ("5", True, 5 ** 4), ("5", False, 5 ** 5),
+])
+def test_no_prune_alone_enumerates_every_table(capsys, group, normalize, visited):
+    argv = ["search", "--group", group, "--no-prune", "--json"]
+    code, out, _ = run(capsys, *argv, *([] if normalize else ["--no-normalize"]))
+    assert code == 0
+    assert (json.loads(out)["visited"], json.loads(out)["count"]) == (visited, 0)
+
+
+@pytest.mark.parametrize("prune", [(), ("--no-prune",)])
+def test_no_fiber_limit_is_accepted_and_ignored(capsys, prune):
+    # The benchmark's unpruned Z6 commands still pass the flag.
+    outs = []
+    for flag in ((), ("--no-fiber-limit",)):
+        code, out, _ = run(capsys, "search", "--group", "6", *prune, *flag, "--json")
+        assert code == 0
+        outs.append(re.sub(r'"elapsed_ms": \d+', "", out))
+    assert outs[0] == outs[1]
 
 
 def test_search_v4(capsys):

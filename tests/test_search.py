@@ -18,7 +18,7 @@ from semibiplane import (
     orbit_reduce,
     search_and_classify,
 )
-from semibiplane import _kernels_py, search, verify
+from semibiplane import _kernels_py, kernels, search, verify
 from semibiplane.groups import add_table, sub_table
 from semibiplane.search import search_result_dict
 from semibiplane.verify import (
@@ -27,7 +27,7 @@ from semibiplane.verify import (
     _check_worker_determinism,
 )
 
-UNPRUNED = SearchOptions(use_pruning=False, use_fiber_limit=False)
+UNPRUNED = SearchOptions(use_pruning=False)
 
 
 def values_of(result):
@@ -80,16 +80,12 @@ def test_order_mismatch_rejected(z2, z4):
 @pytest.mark.parametrize("fix_zero", [True, False])
 def test_pruned_and_unpruned_agree(factors, fix_zero):
     G = make_group(factors)
-    combos = [
-        SearchOptions(fix_zero_at_zero=fix_zero, use_pruning=p, use_fiber_limit=fl)
+    unpruned, pruned = (
+        exhaustive_search(G, G, SearchOptions(fix_zero_at_zero=fix_zero, use_pruning=p))
         for p in (False, True)
-        for fl in (False, True)
-    ]
-    results = [exhaustive_search(G, G, opts) for opts in combos]
-    baseline = values_of(results[0])
-    for r in results[1:]:
-        assert values_of(r) == baseline
-        assert r.count == results[0].count
+    )
+    assert values_of(pruned) == values_of(unpruned)
+    assert pruned.count == unpruned.count
 
 
 def unreduced_search(G, H, opts):
@@ -99,7 +95,7 @@ def unreduced_search(G, H, opts):
     visited, count, found = 0, 0, []
     for r in range(k):
         v, c, tables = _kernels_py.search_tables(
-            k, gadd, gsub, hsub, opts.fix_zero_at_zero, r, opts.use_pruning, opts.use_fiber_limit
+            k, gadd, gsub, hsub, opts.fix_zero_at_zero, r, opts.use_pruning
         )
         visited, count = visited + v, count + c
         found += tables
@@ -121,29 +117,30 @@ SHIFT_CASES = [
 def test_shift_reduction_matches_unreduced(gfac, hfac, fix_zero):
     G, H = make_group(gfac), make_group(hfac)
     for pruning in (False, True):
-        for fiber in (False, True):
-            opts = SearchOptions(
-                fix_zero_at_zero=fix_zero, use_pruning=pruning, use_fiber_limit=fiber
-            )
-            result = exhaustive_search(G, H, opts)
-            got = (result.visited, result.count, values_of(result))
-            assert got == unreduced_search(G, H, opts), opts
+        opts = SearchOptions(fix_zero_at_zero=fix_zero, use_pruning=pruning)
+        result = exhaustive_search(G, H, opts)
+        got = (result.visited, result.count, values_of(result))
+        assert got == unreduced_search(G, H, opts), opts
 
 
-def test_fiber_limit_cuts_leaves_only_at_k_5_and_7():
-    # a shift-reduced count that ignored the fiber limit would read 140 and 23,856
-    assert exhaustive_search(make_group([5]), make_group([5])).visited == 200
-    assert exhaustive_search(make_group([7]), make_group([7])).visited == 25032
+def test_odd_orders_5_and_7_are_shift_reduced(monkeypatch):
+    # Shifts map the pruned search onto itself at every order, so one f(1)
+    # shard is searched and the other k - 1 are rebuilt from it.
+    calls = []
+    real = kernels.search_tables
 
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
 
-def test_fiber_limit_keeps_every_z2x4_table():
-    # Z2x4 has tables and k > 4, so the limit is active: a limit that pruned
-    # a semi-planar table would change this list (the Z6 lists are empty)
-    G = make_group([2, 4])
-    on = exhaustive_search(G, G)
-    off = exhaustive_search(G, G, SearchOptions(use_fiber_limit=False))
-    assert on.count == off.count == len(on.values) == 1024
-    assert on.values == off.values
+    monkeypatch.setattr(kernels, "search_tables", spy)
+    for k, fix_zero, visited in [(5, True, 320), (5, False, 1600),
+                                 (7, True, 26208), (7, False, 183456)]:
+        G = make_group([k])
+        result = exhaustive_search(G, G, SearchOptions(fix_zero_at_zero=fix_zero))
+        assert (result.visited, result.count, result.values) == (visited, 0, ())
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_visited_counts_unpruned(z6):
@@ -278,23 +275,22 @@ def test_verify_runs_each_search_once_per_run(monkeypatch, deep):
     monkeypatch.setattr(verify, "exhaustive_search", spy)
     assert all(r.passed for r in verify.run_checks(deep=deep))
     assert len(calls) == len(set(calls))
-    assert len([c for c in calls if c[0] == "Z6"]) == 8
-    assert len([c for c in calls if c[0] == "Z2xZ4"]) == (2 if deep else 0)
+    assert len([c for c in calls if c[0] == "Z6"]) == 4
+    assert len([c for c in calls if c[0] == "Z2xZ4"]) == (1 if deep else 0)
     assert verify._search.cache_info().currsize == 0
 
 
-def test_fiber_limit_check_fails_when_the_limit_drops_a_table(monkeypatch, fresh_searches):
-    real = verify.exhaustive_search
-
-    def drop_one(G, H, opts=None):
-        result = real(G, H, opts)
-        if not (opts or SearchOptions()).use_fiber_limit or not result.values:
-            return result
-        return replace(result, count=result.count - 1, values=result.values[1:])
-
-    monkeypatch.setattr(verify, "exhaustive_search", drop_one)
-    assert _check_fiber_limit(False).passed  # Z6 has no table to drop
-    assert not _check_fiber_limit(True).passed
+def test_fiber_limit_check_fails_on_a_table_with_a_large_fiber(monkeypatch, fresh_searches):
+    G = make_group([2, 2, 2])
+    wide = make_table(G, G, (0, 0, 0, 0, 0, 1, 2, 3))  # 0 has 5 > 8/2 preimages
+    corpus = verify._fiber_corpus
+    for deep in (False, True):
+        assert _check_fiber_limit(deep).passed
+        monkeypatch.setattr(verify, "_fiber_corpus", lambda deep: [*corpus(deep), wide])
+        result = _check_fiber_limit(deep)
+        assert not result.passed
+        assert "(0, 0, 0, 0, 0, 1, 2, 3)" in result.detail
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("fault", ["zero table", "one wrong entry"])
