@@ -55,8 +55,6 @@ from .search import (
     SearchOptions,
     SearchResult,
     exhaustive_search,
-    orbit_reduce,
-    search_and_classify,
 )
 from .splitting import (
     DivisibilityReport,

@@ -151,6 +151,21 @@ leaf_is_semiplanar(Search *s)
     return 1;
 }
 
+/* A new tuple of the n ints in ``vals``. */
+static PyObject *
+int_tuple(const int *vals, Py_ssize_t n)
+{
+    PyObject *tup = PyTuple_New(n);
+    for (Py_ssize_t i = 0; tup != NULL && i < n; i++) {
+        PyObject *v = PyLong_FromLong(vals[i]);
+        if (v == NULL)
+            Py_CLEAR(tup);
+        else
+            PyTuple_SET_ITEM(tup, i, v);
+    }
+    return tup;
+}
+
 static void
 dfs(Search *s, int x)
 {
@@ -158,16 +173,10 @@ dfs(Search *s, int x)
     if (x == k) {
         s->visited++;
         if (leaf_is_semiplanar(s)) {
-            PyObject *t = PyTuple_New(k);
-            if (t == NULL) {
+            PyObject *t = int_tuple(s->f, k);
+            if (t == NULL || PyList_Append(s->found, t) < 0)
                 s->failed = 1;
-                return;
-            }
-            for (int i = 0; i < k; i++)
-                PyTuple_SET_ITEM(t, i, PyLong_FromLong(s->f[i]));
-            if (PyErr_Occurred() || PyList_Append(s->found, t) < 0)
-                s->failed = 1;
-            Py_DECREF(t);
+            Py_XDECREF(t);
             s->count++;
         }
         return;
@@ -309,21 +318,12 @@ shift_tables(PyObject *self, PyObject *args, PyObject *kwds)
      * the previous state comes back at ``done`` on every path. */
     gc_was_enabled = PyGC_Disable();
     for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *tup = PyTuple_New(k);
+        PyObject *tup = int_tuple(rows + order[i] * k, k);
         if (tup == NULL) {
             Py_CLEAR(result);
             goto done;
         }
         PyList_SET_ITEM(result, i, tup);
-        row = rows + order[i] * k;
-        for (int x = 0; x < k; x++) {
-            PyObject *v = PyLong_FromLong(row[x]);
-            if (v == NULL) {
-                Py_CLEAR(result);
-                goto done;
-            }
-            PyTuple_SET_ITEM(tup, x, v);
-        }
     }
 done:
     if (gc_was_enabled)
@@ -445,21 +445,6 @@ label_cosets(int k, int n, const int *f, const int *gadd, const int *hadd,
         for (int y = 0; y < n; y++)
             point[x * n + y] = line[x * n + hsub[y * n + f[0]]];
     return label;
-}
-
-/* A new tuple of the n ints in ``vals``. */
-static PyObject *
-int_tuple(const int *vals, Py_ssize_t n)
-{
-    PyObject *tup = PyTuple_New(n);
-    for (Py_ssize_t i = 0; tup != NULL && i < n; i++) {
-        PyObject *v = PyLong_FromLong(vals[i]);
-        if (v == NULL)
-            Py_CLEAR(tup);
-        else
-            PyTuple_SET_ITEM(tup, i, v);
-    }
-    return tup;
 }
 
 static PyObject *

@@ -181,7 +181,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    results = run_checks(inject_fault=args.inject_fault, deep=args.deep)  # ValueError exits 2
+    results = run_checks(deep=args.deep)
     if args.json:
         payload = {
             "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
@@ -237,7 +237,6 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
 def _add_verify_paper_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--deep", action="store_true",
                    help="include the e=5 construction and the Z2x4 checks")
-    p.add_argument("--inject-fault", help=argparse.SUPPRESS)
 
 
 def _add_export_dot_flags(p: argparse.ArgumentParser) -> None:

@@ -22,10 +22,8 @@ from time import perf_counter
 
 from . import kernels
 from .errors import SearchBudgetError
-from .functions import FuncTable, format_tables, transform_values
-from .groups import GroupSpec, add_table, automorphisms, neg_table, sub_table, torsion_multiples
-from .incidence import Structure, components
-from .splitting import classify_split
+from .functions import FuncTable, format_tables
+from .groups import GroupSpec, add_table, sub_table, torsion_multiples
 
 #: Full search is k^k or k^(k-1) tables; above this order an explicit
 #: ``max_order`` override is required.
@@ -141,42 +139,6 @@ def _shifts(G: GroupSpec, H: GroupSpec) -> list[tuple[int, ...]]:
     """
     n1 = G.factors[0]
     return [tuple(mult[x % n1] for x in G.elements()) for mult in torsion_multiples(H, n1)]
-
-
-def search_and_classify(
-    G: GroupSpec,
-    H: GroupSpec,
-    opts: SearchOptions | None = None,
-) -> list[tuple[FuncTable, str]]:
-    """Search, then classify each found table's structure (connected /
-    case-i / case-ii)."""
-    result = exhaustive_search(G, H, opts)
-    out = []
-    for f in result.found:
-        S = Structure(f)
-        report = classify_split(S, components(S))
-        out.append((f, report.kind))
-    return out
-
-
-def orbit_reduce(
-    results: list[FuncTable], G: GroupSpec, H: GroupSpec
-) -> list[FuncTable]:
-    """One representative per class under the transforms psi(f(phi(x) + c)) + d,
-    phi and psi automorphisms of G and H: the class's least table. It has
-    f(0) = 0, so for each phi, psi and c only d = -psi(f(c)) is tried."""
-    aut_g = automorphisms(G)
-    aut_h = automorphisms(H)
-    hneg = neg_table(H)
-    reps = set()
-    for f in results:
-        if f.domain != G or f.codomain != H:
-            raise ValueError(f"table over {f.domain.name}->{f.codomain.name} does not match the given groups")
-        reps.add(min(
-            transform_values(f.values, G, H, phi, psi, c, hneg[psi[f.values[c]]])
-            for phi in aut_g for psi in aut_h for c in G.elements()
-        ))
-    return [FuncTable(G, H, v) for v in sorted(reps)]
 
 
 def search_result_dict(result: SearchResult, normalized: bool) -> dict:

@@ -89,8 +89,9 @@ def verify_p_characterization(S: Structure, partition: ComponentPartition) -> bo
     classes = line_classes(S, partition)
     f = S.f
     for a in range(1, f.domain.order):
-        two = frozenset(b for b in f.codomain.elements() if len(s_set(f, a, b)) == 2)
-        none = frozenset(b for b in f.codomain.elements() if len(s_set(f, a, b)) == 0)
+        sizes = [len(s_set(f, a, b)) for b in f.codomain.elements()]
+        two = frozenset(b for b, n in enumerate(sizes) if n == 2)
+        none = frozenset(b for b, n in enumerate(sizes) if n == 0)
         if classes[(a, 1)] != two or classes[(a, 2)] != none:
             return False
     return True

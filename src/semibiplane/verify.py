@@ -26,15 +26,15 @@ from .functions import (
     transform_values,
 )
 from .gf2 import gold_table, inverse_table
-from .groups import automorphisms, is_subgroup, make_group, neg_table
+from .groups import add_table, automorphisms, is_subgroup, make_group, neg_table
 from .incidence import (
     ComponentPartition,
     Structure,
     axiom_report_dict,
-    common_points,
     component_graph,
     components,
     is_hypercube_graph,
+    points_on_line,
     verify_axioms,
 )
 from .search import SearchOptions, SearchResult, exhaustive_search
@@ -182,17 +182,18 @@ def _check_inverse() -> CheckResult:
 def _intersection_criterion_holds(f: FuncTable) -> bool:
     # |S(a, b)| = 2 iff L(alpha*a, d+b) meets L((alpha+1)*a, d) for all d, alpha
     S = Structure(f)
-    G, H = f.domain, f.codomain
-    nh = H.order
-    for a in range(1, G.order):
-        multiples = [G.zero]
-        while (nxt := G.add(multiples[-1], a)) != G.zero:
+    k, nh = f.domain.order, f.codomain.order
+    gadd, hadd = add_table(f.domain), add_table(f.codomain)
+    lines = [points_on_line(S, line) for line in range(S.line_count)]
+    for a in range(1, k):
+        multiples = [0]
+        while (nxt := gadd[multiples[-1] * k + a]) != 0:
             multiples.append(nxt)
         steps = list(zip(multiples, multiples[1:] + multiples[:1]))
-        for b in H.elements():
+        for b in range(nh):
             meet = all(
-                common_points(S, aa * nh + H.add(d, b), bb * nh + d)
-                for aa, bb in steps for d in H.elements()
+                lines[aa * nh + hadd[d * nh + b]] & lines[bb * nh + d]
+                for aa, bb in steps for d in range(nh)
             )
             if (len(s_set(f, a, b)) == 2) != meet:
                 return False
@@ -326,9 +327,8 @@ def _check_worker_determinism() -> CheckResult:
     )
 
 
-def run_checks(inject_fault: str | None = None, deep: bool = False) -> list[CheckResult]:
-    """Run the whole checklist; ``inject_fault`` forces the named check to
-    fail (negative-control hook for tests)."""
+def run_checks(deep: bool = False) -> list[CheckResult]:
+    """Run the whole checklist."""
     producers = [
         _check_gold_family,
         partial(_check_gold_sbp, deep),
@@ -345,17 +345,6 @@ def run_checks(inject_fault: str | None = None, deep: bool = False) -> list[Chec
     ]
     _search.cache_clear()
     try:
-        results = [p() for p in producers]
+        return [p() for p in producers]
     finally:
         _search.cache_clear()
-    if inject_fault is not None:
-        names = {r.name for r in results}
-        if inject_fault not in names:
-            raise ValueError(f"unknown check name {inject_fault!r} (known: {sorted(names)})")
-        results = [
-            CheckResult(r.name, False, "injected fault (test hook)")
-            if r.name == inject_fault
-            else r
-            for r in results
-        ]
-    return results

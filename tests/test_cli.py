@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from semibiplane import KERNEL_BACKEND, SearchOptions, exhaustive_search, format_table, make_group
+from semibiplane import verify
 from semibiplane.cli import main
 
 
@@ -307,15 +308,20 @@ def test_json_reports_name_the_backend(capsys, argv):
     assert json.loads(out)["backend"] == KERNEL_BACKEND in ("compiled", "pure-python")
 
 
-def test_verify_paper_injected_fault(capsys):
-    code, out, _ = run(capsys, "verify-paper", "--inject-fault", "gold-family")
+def test_verify_paper_injected_fault(capsys, monkeypatch):
+    failing = verify.CheckResult("gold-family", False, "forced failure")
+    monkeypatch.setattr(verify, "_check_gold_family", lambda: failing)
+    code, out, _ = run(capsys, "verify-paper")
     assert code == 1
-    assert "FAIL gold-family" in out
+    assert "FAIL gold-family: forced failure" in out.splitlines()
+    assert out.splitlines()[-1] == "11/12 checks passed"
 
 
 def test_verify_paper_unknown_fault_name(capsys):
+    # no such flag: argparse rejects it before any check runs
     code, _, err = run(capsys, "verify-paper", "--inject-fault", "nope")
     assert code == 2
+    assert "unrecognized arguments: --inject-fault nope" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,14 +9,10 @@ from semibiplane import (
     SearchBudgetError,
     SearchOptions,
     SearchResult,
-    automorphisms,
-    equivalence_transform,
     exhaustive_search,
     is_semiplanar,
     make_group,
     make_table,
-    orbit_reduce,
-    search_and_classify,
 )
 from semibiplane import _kernels_py, kernels, search, verify
 from semibiplane.groups import add_table, sub_table
@@ -317,61 +313,3 @@ def test_search_result_dict_schema(z6):
     assert data["found"] == []
     assert isinstance(data["visited"], int)
     assert isinstance(data["elapsed_ms"], int)
-
-
-def test_search_and_classify_v4(z2z2):
-    classified = search_and_classify(z2z2, z2z2)
-    assert len(classified) == 48
-    kinds = {f.values: kind for f, kind in classified}
-    assert kinds[(0, 1, 1, 1)] == "case-i"
-    assert set(kinds.values()) == {"case-i", "case-ii"}
-
-
-def test_search_and_classify_z2(z2):
-    classified = search_and_classify(z2, z2)
-    assert [(f.values, kind) for f, kind in classified] == [
-        ((0, 0), "case-i"),
-        ((0, 1), "case-ii"),
-    ]
-
-
-def test_search_and_classify_z6_empty(z6):
-    assert search_and_classify(z6, z6) == []
-
-
-def test_orbit_reduce_z2(z2):
-    tables = [
-        make_table(z2, z2, v) for v in [(0, 0), (0, 1), (1, 1), (1, 0)]
-    ]
-    reps = orbit_reduce(tables, z2, z2)
-    assert [f.values for f in reps] == [(0, 0), (0, 1)]
-
-
-def test_orbit_reduce_singleton(z4):
-    # this table is its own orbit minimum, so the singleton maps to itself
-    f = make_table(z4, z4, (0, 1, 0, 3))
-    assert orbit_reduce([f], z4, z4) == [f]
-
-
-def test_orbit_reduce_preserves_semiplanarity_classes(z4):
-    found = list(exhaustive_search(z4, z4, SearchOptions(fix_zero_at_zero=False)).found)
-    reps = orbit_reduce(found, z4, z4)
-    assert len(reps) < len(found)
-    for rep in reps:
-        assert is_semiplanar(rep).is_semiplanar
-
-
-def test_orbit_reduce_covers_the_v4_found_set(z2z2):
-    found = exhaustive_search(z2z2, z2z2).found
-    reps = orbit_reduce(list(found), z2z2, z2z2)
-    auts = automorphisms(z2z2)
-    orbits = [
-        {
-            equivalence_transform(rep, phi, psi, c, d).values
-            for phi in auts for psi in auts for c in range(4) for d in range(4)
-        }
-        for rep in reps
-    ]
-    assert set(reps) <= set(found)
-    assert sum(map(len, orbits)) == len(set().union(*orbits))  # disjoint
-    assert set().union(*orbits) >= {f.values for f in found}

@@ -154,6 +154,18 @@ def test_classify_all_split_examples(split_examples):
             )
 
 
+def test_normalized_split_census_up_to_order_4(found_small):
+    kinds = {
+        factors: [classify_split(S, components(S)).kind for S in map(Structure, tables)]
+        for factors, tables in found_small.items()
+    }
+    census = {g: (k.count("case-i"), k.count("case-ii"), len(k)) for g, k in kinds.items()}
+    # every table splits: the two cases add up to the whole found set
+    assert census == {(2,): (1, 1, 2), (4,): (4, 4, 8), (2, 2): (12, 36, 48)}
+    assert [f.values for f in found_small[(2,)]] == [(0, 0), (0, 1)]
+    assert kinds[(2,)] == ["case-i", "case-ii"]
+
+
 def test_difference_lemma(gold21_split, ident2_split, split_examples):
     for S, part in (gold21_split, ident2_split):
         assert verify_difference_lemma(S, part)
