@@ -2,7 +2,6 @@
 groups: construction, structural verification, and exhaustive search."""
 
 from .errors import (
-    InvalidTransformError,
     NotSplitError,
     SearchBudgetError,
     TableParseError,
@@ -11,12 +10,9 @@ from .errors import (
 from .functions import (
     FuncTable,
     SemiPlanarityVerdict,
-    delta,
-    equivalence_transform,
     fiber_sizes,
     format_table,
     format_tables,
-    is_automorphism,
     is_bijection,
     is_semiplanar,
     limit_check,
@@ -24,12 +20,11 @@ from .functions import (
     parse_table,
     s_set,
 )
-from .gf2 import FieldSpec, field_mul, field_pow, gold_table, inverse_table, make_field
+from .gf2 import FieldSpec, field_mul, gold_table, inverse_table, make_field
 from .groups import (
     GroupSpec,
     automorphisms,
     coset,
-    index2_subgroups,
     is_subgroup,
     make_group,
 )
@@ -38,12 +33,9 @@ from .incidence import (
     ComponentPartition,
     Graph,
     Structure,
-    common_lines,
-    common_points,
     component_graph,
     components,
     export_dot,
-    hypercube_graph,
     is_hypercube_graph,
     is_incident,
     lines_through_point,
@@ -60,7 +52,6 @@ from .splitting import (
     DivisibilityReport,
     SplitReport,
     classify_split,
-    compute_t,
     line_classes,
     verify_difference_lemma,
     verify_divisible,

@@ -74,7 +74,10 @@ def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"--out: cannot write {out!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 

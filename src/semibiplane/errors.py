@@ -5,10 +5,6 @@ exist where callers plausibly branch on the failure kind.
 """
 
 
-class InvalidTransformError(ValueError):
-    """A supplied permutation is not an automorphism of the required group."""
-
-
 class TableParseError(ValueError):
     """Malformed function-table text. ``position`` is the failing entry index,
     or None when the entry count itself is wrong."""

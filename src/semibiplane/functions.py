@@ -1,6 +1,6 @@
 """Function tables f: G -> H and the analysis around them.
 
-Covers the difference tables f(x+a) - f(x), the 0-or-2 semi-planarity test,
+Covers the 0-or-2 semi-planarity test of the differences f(x+a) - f(x),
 the solution sets S(a, b) of f(t-a) = f(t) + b, fiber counting with the
 "more than k/2 preimages" exclusion, and composition with automorphisms and
 translations.
@@ -9,11 +9,10 @@ translations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import kernels
-from .errors import InvalidTransformError, TableParseError
+from .errors import TableParseError
 from .groups import GroupSpec, add_table, sub_table
 
 @dataclass(frozen=True)
@@ -48,18 +47,6 @@ class SemiPlanarityVerdict:
 
 def make_table(domain: GroupSpec, codomain: GroupSpec, values: Iterable[int]) -> FuncTable:
     return FuncTable(domain, codomain, tuple(values))
-
-
-def delta(f: FuncTable, a: int) -> FuncTable:
-    """The difference table x -> f(x + a) - f(x), with values in H."""
-    G, H = f.domain, f.codomain
-    G.check(a)
-    k = G.order
-    gadd = add_table(G)
-    hsub = sub_table(H)
-    nh = H.order
-    vals = tuple(hsub[f.values[gadd[x * k + a]] * nh + f.values[x]] for x in range(k))
-    return FuncTable(G, H, vals)
 
 
 def _require_equal_orders(f: FuncTable) -> int:
@@ -116,51 +103,10 @@ def is_bijection(f: FuncTable) -> bool:
     return len(set(f.values)) == k
 
 
-def is_automorphism(G: GroupSpec, perm: Sequence[int]) -> bool:
-    """Check that ``perm`` is a bijective additive map of G's element indices.
-
-    It suffices that perm(x + g) = perm(x) + perm(g) for every x and every
-    factor generator g: the generators span G, so additivity extends to all
-    pairs by induction, and x = 0 forces perm(0) = 0.
-    """
-    return _is_automorphism_cached(G, tuple(perm))
-
-
-@lru_cache(maxsize=1024)
-def _is_automorphism_cached(G: GroupSpec, perm: tuple[int, ...]) -> bool:
-    k = G.order
-    if len(perm) != k or set(perm) != set(range(k)):
-        return False
-    g = 1  # the generator of each factor, first factor least significant
-    for n in G.factors:
-        # G.add, not add_table: the k*k table would cost more than the check
-        if any(perm[G.add(x, g)] != G.add(perm[x], perm[g]) for x in range(k)):
-            return False
-        g *= n
-    return True
-
-
-def equivalence_transform(
-    f: FuncTable, phi: Sequence[int], psi: Sequence[int], c: int, d: int
-) -> FuncTable:
-    """The table g(x) = psi(f(phi(x) + c)) + d.
-
-    ``phi`` must be an automorphism of the domain and ``psi`` of the codomain;
-    semi-planarity is invariant under this composition.
-    """
-    G, H = f.domain, f.codomain
-    G.check(c)
-    H.check(d)
-    if not is_automorphism(G, phi):
-        raise InvalidTransformError(f"phi is not an automorphism of {G.name}")
-    if not is_automorphism(H, psi):
-        raise InvalidTransformError(f"psi is not an automorphism of {H.name}")
-    return FuncTable(G, H, transform_values(f.values, G, H, phi, psi, c, d))
-
-
 def transform_values(values: Sequence[int], G: GroupSpec, H: GroupSpec, phi: Sequence[int],
                      psi: Sequence[int], c: int, d: int) -> tuple[int, ...]:
-    """psi(f(phi(x) + c)) + d on value tuples, unchecked (``equivalence_transform`` checks)."""
+    """psi(f(phi(x) + c)) + d on value tuples; phi and psi are not checked
+    to be automorphisms."""
     gadd = add_table(G)
     hadd = add_table(H)
     k, nh = G.order, H.order

@@ -13,7 +13,7 @@ from .functions import FuncTable
 from .groups import GroupSpec, make_group
 
 #: Least irreducible polynomial per degree, as a bitmask including the
-#: leading term. Validated at import by ``_validate_moduli``.
+#: leading term.
 LEAST_IRREDUCIBLE = {
     1: 0b10,
     2: 0b111,
@@ -57,28 +57,6 @@ def _poly_mul(a: int, b: int) -> int:
     return r
 
 
-def _is_irreducible(p: int) -> bool:
-    # trial division by every polynomial of degree 1..deg/2
-    d = _poly_degree(p)
-    if d < 1:
-        return False
-    for q in range(2, 1 << (d // 2 + 1)):
-        if _poly_degree(q) >= 1 and _poly_mod(p, q) == 0:
-            return False
-    return True
-
-
-def _validate_moduli() -> None:
-    for e, m in LEAST_IRREDUCIBLE.items():
-        if _poly_degree(m) != e:
-            raise AssertionError(f"modulus table broken: degree({m:#b}) != {e}")
-        if not _is_irreducible(m):
-            raise AssertionError(f"modulus table broken: {m:#b} is reducible")
-
-
-_validate_moduli()
-
-
 def make_field(e: int) -> FieldSpec:
     if e not in LEAST_IRREDUCIBLE:
         raise ValueError(f"unsupported extension degree {e} (supported: 1..8)")
@@ -95,20 +73,6 @@ def field_mul(field: FieldSpec, a: int, b: int) -> int:
     _check_element(field, a)
     _check_element(field, b)
     return _poly_mod(_poly_mul(a, b), field.modulus)
-
-
-def field_pow(field: FieldSpec, a: int, n: int) -> int:
-    """``a**n`` by square-and-multiply; n must be >= 0 (``a**0 == 1``)."""
-    _check_element(field, a)
-    if n < 0:
-        raise ValueError("negative exponent")
-    r = 1
-    while n:
-        if n & 1:
-            r = field_mul(field, r, a)
-        a = field_mul(field, a, a)
-        n >>= 1
-    return r
 
 
 def bit_group(e: int) -> GroupSpec:

@@ -106,28 +106,6 @@ def sub_table(G: GroupSpec) -> tuple[int, ...]:
     return tuple(add[x * k + neg[y]] for x in range(k) for y in range(k))
 
 
-def index2_subgroups(G: GroupSpec) -> list[frozenset[int]]:
-    """All subgroups of index 2, each as a set of element indices.
-
-    Enumerated as kernels of the nonzero homomorphisms onto Z2: only digits
-    with an even modulus can contribute their parity, so the subgroups are in
-    bijection with the nonzero parity masks over the even factors.
-    """
-    even_pos = [i for i, n in enumerate(G.factors) if n % 2 == 0]
-    if not even_pos:
-        return []
-    parities = [tuple(d[i] % 2 for i in even_pos) for d in map(G.decode, G.elements())]
-    subgroups = []
-    for mask in range(1, 1 << len(even_pos)):
-        bits = [(mask >> j) & 1 for j in range(len(even_pos))]
-        members = frozenset(
-            x for x in G.elements()
-            if sum(b * p for b, p in zip(bits, parities[x])) % 2 == 0
-        )
-        subgroups.append(members)
-    return sorted(subgroups, key=lambda s: tuple(sorted(s)))
-
-
 def is_subgroup(G: GroupSpec, S: Iterable[int]) -> bool:
     """True iff ``S`` contains zero and is closed under addition and negation."""
     members = frozenset(S)

@@ -34,14 +34,6 @@ class Structure:
     def points_per_line(self) -> int:
         return self.f.domain.order
 
-    def point_id(self, x: int, y: int) -> int:
-        self.f.domain.check(x)
-        self.f.codomain.check(y)
-        return x * self.f.codomain.order + y
-
-    def line_id(self, a: int, b: int) -> int:
-        return self.point_id(a, b)
-
     def point_xy(self, point: int) -> tuple[int, int]:
         self.check_id(point)
         return divmod(point, self.f.codomain.order)
@@ -91,13 +83,6 @@ class Graph:
     def vertex_count(self) -> int:
         return len(self.adjacency)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
-
-    def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adjacency]
-
 
 def is_incident(S: Structure, point: int, line: int) -> bool:
     x, y = S.point_xy(point)
@@ -129,21 +114,6 @@ def lines_through_point(S: Structure, point: int) -> frozenset[int]:
     return frozenset(
         a * nh + hsub[y * nh + f.values[gsub[x * k + a]]] for a in range(k)
     )
-
-
-def _require_distinct(i: int, j: int) -> None:
-    if i == j:
-        raise ValueError(f"ids must be distinct, got {i} twice")
-
-
-def common_lines(S: Structure, p1: int, p2: int) -> frozenset[int]:
-    _require_distinct(p1, p2)
-    return lines_through_point(S, p1) & lines_through_point(S, p2)
-
-
-def common_points(S: Structure, l1: int, l2: int) -> frozenset[int]:
-    _require_distinct(l1, l2)
-    return points_on_line(S, l1) & points_on_line(S, l2)
 
 
 def verify_axioms(S: Structure) -> AxiomReport:
@@ -201,16 +171,6 @@ def component_graph(S: Structure, partition: ComponentPartition, label: int) -> 
             adjacency[pi].add(li)
             adjacency[li].add(pi)
     return Graph(tuple(frozenset(nbrs) for nbrs in adjacency))
-
-
-def hypercube_graph(n: int) -> Graph:
-    """The n-dimensional hypercube graph Q_n on vertex set 0..2^n-1."""
-    if n < 1:
-        raise ValueError("hypercube dimension must be >= 1")
-    size = 1 << n
-    return Graph(
-        tuple(frozenset(u ^ (1 << b) for b in range(n)) for u in range(size))
-    )
 
 
 def is_hypercube_graph(graph: Graph, n: int) -> bool:

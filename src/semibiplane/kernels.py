@@ -2,8 +2,8 @@
 
 The C extension ``semibiplane._speedups`` (built by
 ``python setup.py build_ext --inplace``) is used when importable; otherwise
-the pure-Python kernels take over. Set the environment variable
-``SEMIBIPLANE_PURE=1`` before import to force the pure backend.
+the pure-Python kernels are imported and take over. Set the environment
+variable ``SEMIBIPLANE_PURE=1`` before import to force the pure backend.
 
 Both backends take the same arguments. ``semiplanar_witness`` and
 ``coset_labels`` take the codomain order n apart from the domain order k,
@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import os
 
-from . import _kernels_py
-
-_impl = _kernels_py
+BACKEND: str = "pure-python"
 if not os.environ.get("SEMIBIPLANE_PURE"):
     try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
+        from . import _speedups as _impl
+        BACKEND = "compiled"
     except ImportError:
         pass
-
-BACKEND: str = "compiled" if _impl is not _kernels_py else "pure-python"
+if BACKEND == "pure-python":
+    from . import _kernels_py as _impl  # type: ignore[no-redef]
 
 semiplanar_witness = _impl.semiplanar_witness
 search_tables = _impl.search_tables

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotSplitError, TheoremViolationError
-from .functions import FuncTable, is_semiplanar, s_set
+from .functions import is_semiplanar, s_set
 from .groups import add_table, coset, is_subgroup
 from .incidence import (
     ComponentPartition,
@@ -95,15 +95,6 @@ def verify_p_characterization(S: Structure, partition: ComponentPartition) -> bo
         if classes[(a, 1)] != two or classes[(a, 2)] != none:
             return False
     return True
-
-
-def compute_t(f: FuncTable) -> frozenset[int]:
-    """The nonzero a for which f(t - a) = f(t) has exactly two solutions."""
-    if f.domain.order != f.codomain.order:
-        raise ValueError("domain and codomain must have equal order")
-    return frozenset(
-        a for a in range(1, f.domain.order) if len(s_set(f, a, f.codomain.zero)) == 2
-    )
 
 
 def classify_split(S: Structure, partition: ComponentPartition) -> SplitReport:

@@ -261,6 +261,21 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert json.loads(path.read_text())["v"] == 16
 
 
+@pytest.mark.parametrize("argv", [
+    ("gold", "--field-e", "3", "--alpha", "1"),
+    ("build", "--field-e", "2", "--alpha", "1", "--json"),
+    ("search", "--group", "4", "--json"),
+])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "report"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --out: cannot write {str(path)!r}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not path.parent.exists()
+
+
 def test_verify_paper_passes(capsys):
     code, out, _ = run(capsys, "verify-paper")
     assert code == 0

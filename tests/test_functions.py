@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,16 +6,12 @@ from hypothesis import strategies as st
 
 import oracles
 from semibiplane import (
-    InvalidTransformError,
     TableParseError,
-    delta,
-    equivalence_transform,
     fiber_sizes,
     format_table,
     format_tables,
     gold_table,
     inverse_table,
-    is_automorphism,
     is_bijection,
     is_semiplanar,
     limit_check,
@@ -25,6 +20,7 @@ from semibiplane import (
     parse_table,
     s_set,
 )
+from semibiplane.functions import transform_values
 
 # all permutations of the nonzero elements fixing 0 are additive on Z2xZ2
 V4_AUTOMORPHISMS = [
@@ -42,35 +38,6 @@ def test_functable_validation(z6):
         make_table(z6, z6, [0, 1, 2])
     with pytest.raises(ValueError):
         make_table(z6, z6, [0, 1, 2, 3, 4, 6])
-
-
-def test_delta_of_constant_is_zero(z6):
-    f = make_table(z6, z6, [3] * 6)
-    for a in z6.elements():
-        assert delta(f, a).values == (0,) * 6
-
-
-def test_delta_of_identity_is_constant(z6, ident_z6):
-    assert delta(ident_z6, 2).values == (2,) * 6
-
-
-def test_delta_gold_example(gold21):
-    assert delta(gold21, 1).values == (1, 1, 0, 0)
-
-
-def test_delta_rejects_bad_translation(gold21):
-    with pytest.raises(ValueError):
-        delta(gold21, 4)
-
-
-def test_delta_allows_distinct_groups():
-    g = make_group([4])
-    h = make_group([2, 2])
-    f = make_table(g, h, [0, 1, 2, 3])
-    assert delta(f, 1).values == tuple(
-        oracles.sub([2, 2], f.values[oracles.add([4], x, 1)], f.values[x])
-        for x in range(4)
-    )
 
 
 def test_is_semiplanar_gold(gold21):
@@ -130,8 +97,7 @@ def test_s_set_substitution_identity():
         G = make_group(factors)
         f = random_table(G, rng)
         for a in G.elements():
-            d = delta(f, G.neg(a))
-            counts = Counter(d.values)
+            counts = oracles.delta_counts(f.values, factors, factors, G.neg(a))
             for b in G.elements():
                 assert len(s_set(f, a, b)) == counts[b]
 
@@ -171,21 +137,21 @@ def test_semiplanar_delta_hits_half_the_values_twice(gold21, found_small):
     tables = [gold21, gold_table(3, 1), inverse_table(3)]
     tables += found_small[(4,)] + found_small[(2, 2)]
     for f in tables:
-        k = f.domain.order
+        k, fac = f.domain.order, f.domain.factors
         for a in range(1, k):
-            counts = Counter(delta(f, a).values)
+            counts = oracles.delta_counts(f.values, fac, fac, a)
             assert len(counts) == k // 2
             assert set(counts.values()) == {2}
 
 
-def test_equivalence_transform_identity_fixpoint(gold21):
+def test_equivalence_transform_identity_fixpoint(z2z2, gold21):
     ident = tuple(range(4))
-    assert equivalence_transform(gold21, ident, ident, 0, 0).values == gold21.values
+    assert transform_values(gold21.values, z2z2, z2z2, ident, ident, 0, 0) == gold21.values
 
 
-def test_equivalence_transform_translation(gold21):
+def test_equivalence_transform_translation(z2z2, gold21):
     ident = tuple(range(4))
-    g = equivalence_transform(gold21, ident, ident, 0, 1)
+    g = make_table(z2z2, z2z2, transform_values(gold21.values, z2z2, z2z2, ident, ident, 0, 1))
     assert g.values == (1, 0, 0, 0)
     assert is_semiplanar(g).is_semiplanar
 
@@ -194,37 +160,9 @@ def test_equivalence_transform_domain_reversal(z6):
     f = make_table(z6, z6, [0, 1, 3, 2, 5, 4])
     rev = tuple((5 * x) % 6 for x in range(6))
     ident = tuple(range(6))
-    g = equivalence_transform(f, rev, ident, 0, 0)
+    g = make_table(z6, z6, transform_values(f.values, z6, z6, rev, ident, 0, 0))
     assert g.values == tuple(f.values[(5 * x) % 6] for x in range(6))
     assert is_semiplanar(g).is_semiplanar == is_semiplanar(f).is_semiplanar
-
-
-def test_equivalence_transform_rejects_non_automorphism(z6, ident_z6):
-    shift = tuple((x + 1) % 6 for x in range(6))  # bijection, not additive
-    ident = tuple(range(6))
-    with pytest.raises(InvalidTransformError):
-        equivalence_transform(ident_z6, shift, ident, 0, 0)
-    with pytest.raises(InvalidTransformError):
-        equivalence_transform(ident_z6, ident, ident[:-1], 0, 0)
-
-
-def test_is_automorphism(z2z2, z6):
-    for perm in V4_AUTOMORPHISMS:
-        assert is_automorphism(z2z2, perm)
-    assert is_automorphism(z6, tuple((5 * x) % 6 for x in range(6)))
-    assert not is_automorphism(z6, tuple((x + 1) % 6 for x in range(6)))
-    # exactly six additive bijections of Z2xZ2 (it is GL(2, 2) on indices)
-    from itertools import permutations
-
-    additive = [p for p in permutations(range(4)) if is_automorphism(z2z2, p)]
-    assert additive == sorted(V4_AUTOMORPHISMS)
-    # above order 256 the check stays exact: Z2^9 with the Gray-code map
-    # x -> x ^ (x >> 1), which is GF(2)-linear, then with 1 and 2 swapped
-    z2_9 = make_group([2] * 9)
-    gray = tuple(x ^ (x >> 1) for x in range(512))
-    assert is_automorphism(z2_9, gray)
-    swap = {1: 2, 2: 1}
-    assert not is_automorphism(z2_9, tuple(swap.get(y, y) for y in gray))
 
 
 def additive_on_all_pairs(factors, perm):
@@ -233,16 +171,6 @@ def additive_on_all_pairs(factors, perm):
         perm[oracles.add(factors, x, y)] == oracles.add(factors, perm[x], perm[y])
         for x in range(k) for y in range(k)
     )
-
-
-def test_is_automorphism_matches_all_pairs_z2x4():
-    # every permutation of Z2 x Z4, against additivity on all 64 pairs
-    from itertools import permutations
-
-    G = make_group([2, 4])
-    additive = [p for p in permutations(range(8)) if additive_on_all_pairs([2, 4], p)]
-    assert len(additive) == 8  # Aut(Z2 x Z4) is dihedral of order 8
-    assert [p for p in permutations(range(8)) if is_automorphism(G, p)] == additive
 
 
 @pytest.mark.parametrize("factors, size", [([2, 2], 6), ([2, 4], 8), ([2, 2, 2], 168)])
@@ -277,7 +205,7 @@ def test_transform_preserves_semiplanarity_exhaustive_z6(z6):
             for psi in auts:
                 for c in range(6):
                     for d in range(6):
-                        g = equivalence_transform(f, phi, psi, c, d)
+                        g = make_table(z6, z6, transform_values(f.values, z6, z6, phi, psi, c, d))
                         assert is_semiplanar(g).is_semiplanar == want
 
 
@@ -290,7 +218,9 @@ def test_transform_preserves_semiplanarity_exhaustive_v4(z2z2, found_small):
             for psi in V4_AUTOMORPHISMS:
                 for c in range(4):
                     for d in range(4):
-                        g = equivalence_transform(f, phi, psi, c, d)
+                        g = make_table(
+                            z2z2, z2z2, transform_values(f.values, z2z2, z2z2, phi, psi, c, d)
+                        )
                         assert is_semiplanar(g).is_semiplanar == want
 
 

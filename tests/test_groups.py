@@ -10,7 +10,6 @@ from semibiplane import (
     SearchBudgetError,
     automorphisms,
     coset,
-    index2_subgroups,
     is_subgroup,
     make_group,
 )
@@ -93,47 +92,25 @@ def test_tables_match_oracle(factors):
             assert sub[x * k + y] == oracles.sub(factors, x, y)
 
 
-def test_index2_subgroups_examples():
-    assert index2_subgroups(make_group([6])) == [frozenset({0, 2, 4})]
-    assert index2_subgroups(make_group([2, 2])) == [
-        frozenset({0, 1}),
-        frozenset({0, 2}),
-        frozenset({0, 3}),
-    ]
-    assert index2_subgroups(make_group([3])) == []
-    assert index2_subgroups(make_group([3, 5])) == []
-
-
-@pytest.mark.parametrize("factors", [[6], [2, 2], [4], [2, 4], [12], [2, 3], [2, 2, 3]])
-def test_index2_subgroups_are_subgroups(factors):
-    G = make_group(factors)
-    subs = index2_subgroups(G)
-    assert len(subs) == len(set(subs))
-    for S in subs:
-        assert len(S) == G.order // 2
-        assert is_subgroup(G, S)
-
-
-@pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
-def test_index2_subgroup_count_elementary_abelian(e):
-    G = make_group([2] * e)
-    assert len(index2_subgroups(G)) == 2 ** e - 1
-
-
 def test_index2_subgroups_complete_by_enumeration():
-    # cross-check against filtering all subsets containing 0, order <= 8
-    for factors in ([6], [2, 2], [8], [2, 4]):
+    # the half-size subsets containing 0 that is_subgroup accepts, order <= 8
+    from itertools import combinations
+
+    expected = {
+        (6,): [{0, 2, 4}],
+        (2, 2): [{0, 1}, {0, 2}, {0, 3}],
+        (8,): [{0, 2, 4, 6}],
+        (2, 4): [{0, 1, 4, 5}, {0, 2, 4, 6}, {0, 3, 4, 7}],
+    }
+    for factors, subgroups in expected.items():
         G = make_group(factors)
         k = G.order
-        half = k // 2
-        from itertools import combinations
-
-        expected = {
-            frozenset((0,) + rest)
-            for rest in combinations(range(1, k), half - 1)
+        found = [
+            set((0,) + rest)
+            for rest in combinations(range(1, k), k // 2 - 1)
             if is_subgroup(G, frozenset((0,) + rest))
-        }
-        assert set(index2_subgroups(G)) == expected
+        ]
+        assert found == subgroups
 
 
 def test_is_subgroup_examples():

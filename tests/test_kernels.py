@@ -66,6 +66,22 @@ def test_built_extension_is_the_active_backend():
     assert kernels.BACKEND == want, "the built _speedups extension does not import"
 
 
+@pytest.mark.parametrize("pure", ["", "1"])
+def test_pure_twin_is_imported_only_as_the_backend(pure):
+    # a fresh interpreter: this module imports _kernels_py itself
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "SEMIBIPLANE_PURE": pure}
+    code = ("import sys, semibiplane.cli as cli; "
+            "print(cli.BACKEND, 'semibiplane._kernels_py' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    backend, loaded = proc.stdout.split()
+    assert proc.returncode == 0, proc.stderr
+    assert loaded == str(backend == "pure-python")
+    if pure:
+        assert backend == "pure-python"
+
+
 def test_pure_witness_matches_oracle():
     rng = random.Random(2)
     for factors in ([6], [2, 2], [8], [2, 4]):

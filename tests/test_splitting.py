@@ -2,16 +2,17 @@ import pytest
 
 from semibiplane import (
     NotSplitError,
+    SearchOptions,
     Structure,
     classify_split,
     components,
-    compute_t,
+    exhaustive_search,
     gold_table,
-    inverse_table,
     is_subgroup,
     line_classes,
     make_group,
     make_table,
+    points_on_line,
     verify_difference_lemma,
     verify_divisible,
     verify_p_characterization,
@@ -71,14 +72,6 @@ def test_p_characterization(gold21_split, ident2_split, split_examples):
 def test_p_characterization_negative_control(gold21_split):
     S, part = gold21_split
     assert not verify_p_characterization(S, shuffled(part))
-
-
-def test_compute_t(gold21_split, ident_z6, z6):
-    S, _ = gold21_split
-    assert compute_t(S.f) == frozenset({1, 2, 3})
-    assert compute_t(ident_z6) == frozenset()
-    assert compute_t(inverse_table(3)) == frozenset()
-    assert compute_t(make_table(z6, z6, [0] * 6)) == frozenset()
 
 
 def test_classify_gold21_case_i(gold21_split):
@@ -154,16 +147,35 @@ def test_classify_all_split_examples(split_examples):
             )
 
 
+#: (G, H) -> (count, case-i, case-ii) over the normalized semi-planar tables
+SPLIT_CENSUS = {
+    ((2,), (2,)): (2, 1, 1),
+    ((4,), (4,)): (8, 4, 4),
+    ((4,), (2, 2)): (24, 12, 12),
+    ((2, 2), (4,)): (16, 4, 12),
+    ((2, 2), (2, 2)): (48, 12, 36),
+    # no table at order 6, so no split sbp(18, 6)
+    ((6,), (6,)): (0, 0, 0),
+    ((2, 3), (6,)): (0, 0, 0),
+}
+
+
 def test_normalized_split_census_up_to_order_4(found_small):
-    kinds = {
-        factors: [classify_split(S, components(S)).kind for S in map(Structure, tables)]
-        for factors, tables in found_small.items()
-    }
-    census = {g: (k.count("case-i"), k.count("case-ii"), len(k)) for g, k in kinds.items()}
+    kinds, census = {}, {}
+    for gf, hf in SPLIT_CENSUS:
+        found = exhaustive_search(make_group(gf), make_group(hf), SearchOptions()).found
+        kinds[gf, hf] = [classify_split(S, components(S)).kind for S in map(Structure, found)]
+        k = kinds[gf, hf]
+        census[gf, hf] = (len(k), k.count("case-i"), k.count("case-ii"))
     # every table splits: the two cases add up to the whole found set
-    assert census == {(2,): (1, 1, 2), (4,): (4, 4, 8), (2, 2): (12, 36, 48)}
+    assert census == SPLIT_CENSUS
     assert [f.values for f in found_small[(2,)]] == [(0, 0), (0, 1)]
-    assert kinds[(2,)] == ["case-i", "case-ii"]
+    assert kinds[(2,), (2,)] == ["case-i", "case-ii"]
+    # every normalized Z2 x Z4 table is connected
+    G = make_group([2, 4])
+    found = exhaustive_search(G, G, SearchOptions()).found
+    assert len(found) == 1024
+    assert {components(Structure(f)).component_count for f in found} == {1}
 
 
 def test_difference_lemma(gold21_split, ident2_split, split_examples):
@@ -219,8 +231,6 @@ def test_divisible_bad_label(gold21_split):
 
 
 def test_same_component_lines_with_distinct_a_intersect(split_examples):
-    from semibiplane import common_points
-
     for f, S, part in split_examples:
         nh = f.codomain.order
         for label in (0, 1):
@@ -229,7 +239,7 @@ def test_same_component_lines_with_distinct_a_intersect(split_examples):
                 for l2 in lines:
                     if l2 <= l1 or l1 // nh == l2 // nh:
                         continue
-                    assert common_points(S, l1, l2)
+                    assert points_on_line(S, l1) & points_on_line(S, l2)
 
 
 def test_phi_isomorphism_gold21(gold21_split):
