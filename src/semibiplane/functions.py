@@ -3,12 +3,13 @@
 Covers the 0-or-2 semi-planarity test of the differences f(x+a) - f(x),
 the solution sets S(a, b) of f(t-a) = f(t) + b, fiber counting with the
 "more than k/2 preimages" exclusion, and composition with automorphisms and
-translations.
+translations on packed rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -103,14 +104,18 @@ def is_bijection(f: FuncTable) -> bool:
     return len(set(f.values)) == k
 
 
-def transform_values(values: Sequence[int], G: GroupSpec, H: GroupSpec, phi: Sequence[int],
-                     psi: Sequence[int], c: int, d: int) -> tuple[int, ...]:
-    """psi(f(phi(x) + c)) + d on value tuples; phi and psi are not checked
-    to be automorphisms."""
-    gadd = add_table(G)
-    hadd = add_table(H)
+def transform_rows(rows: Iterable[bytes], G: GroupSpec, H: GroupSpec, phi: Sequence[int],
+                   psi: Sequence[int], c: int) -> list[bytes]:
+    """g = psi(f(phi(x) + c)) - psi(f(phi(0) + c)), so g(0) = 0, for each table f
+    packed one byte per value: one ``itemgetter`` and one ``bytes.translate``."""
     k, nh = G.order, H.order
-    return tuple(hadd[psi[values[gadd[p * k + c]]] * nh + d] for p in phi)
+    if nh > 256:
+        raise ValueError(f"packed rows need |H| <= 256, {H.name} has order {nh}")
+    gadd, hsub = add_table(G), sub_table(H)
+    take = itemgetter(*(gadd[p * k + c] for p in phi))
+    pad = bytes(256 - nh)
+    shift = [bytes(hsub[psi[y] * nh + psi[v]] for y in range(nh)) + pad for v in range(nh)]
+    return [bytes(g).translate(shift[g[0]]) for g in map(take, rows)]
 
 
 def parse_table(text: str, domain: GroupSpec, codomain: GroupSpec) -> FuncTable:

@@ -36,14 +36,10 @@ class FieldSpec:
         return 1 << self.e
 
 
-def _poly_degree(p: int) -> int:
-    return p.bit_length() - 1
-
-
 def _poly_mod(a: int, m: int) -> int:
-    dm = _poly_degree(m)
-    while a and _poly_degree(a) >= dm:
-        a ^= m << (_poly_degree(a) - dm)
+    # degree(a) - degree(m) is the difference of the bit lengths
+    while (shift := a.bit_length() - m.bit_length()) >= 0:
+        a ^= m << shift
     return a
 
 

@@ -70,9 +70,6 @@ class GroupSpec:
     def neg(self, x: int) -> int:
         return self.encode([(-d) % n for d, n in zip(self.decode(x), self.factors)])
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
 
 def make_group(factors: Iterable[int]) -> GroupSpec:
     """Build a group spec from cyclic moduli; every modulus must be >= 2."""
@@ -93,15 +90,10 @@ def add_table(G: GroupSpec) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def neg_table(G: GroupSpec) -> tuple[int, ...]:
-    return tuple(G.neg(x) for x in range(G.order))
-
-
-@lru_cache(maxsize=None)
 def sub_table(G: GroupSpec) -> tuple[int, ...]:
     """Flat subtraction table: entry ``x * order + y`` is ``x - y``."""
     k = G.order
-    neg = neg_table(G)
+    neg = [G.neg(y) for y in range(k)]
     add = add_table(G)
     return tuple(add[x * k + neg[y]] for x in range(k) for y in range(k))
 
@@ -147,6 +139,19 @@ def automorphisms(G: GroupSpec) -> list[tuple[int, ...]]:
             for mult in torsion_multiples(G, n) for phi in maps
         ]
     return sorted(phi for phi in maps if len(set(phi)) == k)
+
+
+def automorphism_generators(G: GroupSpec) -> list[tuple[int, ...]]:
+    """A generating set of Aut(G), picked greedily: each automorphism, in
+    ``automorphisms`` order, that the ones picked before do not generate."""
+    span, gens = {tuple(G.elements())}, []
+    for a in automorphisms(G):
+        if a not in span:
+            gens.append(a)
+            new = span  # compose until the span is closed under every generator
+            while new := {tuple(g[x] for x in s) for s in new for g in gens} - span:
+                span |= new
+    return gens
 
 
 def torsion_multiples(G: GroupSpec, n: int) -> list[list[int]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import NotSplitError, TheoremViolationError
 from .functions import is_semiplanar, s_set
-from .groups import add_table, coset, is_subgroup
+from .groups import add_table, coset, is_subgroup, sub_table
 from .incidence import (
     ComponentPartition,
     Structure,
@@ -150,13 +150,13 @@ def verify_difference_lemma(S: Structure, partition: ComponentPartition) -> bool
     """Whenever the classes of a and c overlap on either side, the class
     pattern at a - c and c - a must equal the one at 0."""
     classes = line_classes(S, partition)
-    G = S.f.domain
+    k, gsub = S.f.domain.order, sub_table(S.f.domain)
     base = classes[(0, 1)]
-    for a in G.elements():
-        for c in G.elements():
+    for a in range(k):
+        for c in range(k):
             if not (classes[(a, 1)] & classes[(c, 1)] or classes[(a, 2)] & classes[(c, 2)]):
                 continue
-            if classes[(G.sub(a, c), 1)] != base or classes[(G.sub(c, a), 1)] != base:
+            if classes[(gsub[a * k + c], 1)] != base or classes[(gsub[c * k + a], 1)] != base:
                 return False
     return True
 

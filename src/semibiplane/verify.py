@@ -23,10 +23,10 @@ from .functions import (
     limit_check,
     make_table,
     s_set,
-    transform_values,
+    transform_rows,
 )
 from .gf2 import gold_table, inverse_table
-from .groups import add_table, automorphisms, is_subgroup, make_group, neg_table
+from .groups import add_table, automorphism_generators, is_subgroup, make_group
 from .incidence import (
     ComponentPartition,
     Structure,
@@ -223,54 +223,48 @@ def _check_intersection_criterion() -> CheckResult:
     )
 
 
-def _check_p_characterization() -> CheckResult:
-    name = "p-characterization"
+def _check_split_corpus(name: str, holds, claim: str) -> CheckResult:
     corpus = _split_corpus()
     for f, S, part in corpus:
-        if not verify_p_characterization(S, part):
+        if not holds(S, part):
             return CheckResult(name, False, f"fails for table {f.values}")
-    return CheckResult(
-        name, True,
-        f"component-0 classes are exactly the b with |S(a,b)| = 2, "
-        f"on all {len(corpus)} split examples",
+    return CheckResult(name, True, f"{claim}, on all {len(corpus)} split examples")
+
+
+def _check_p_characterization() -> CheckResult:
+    return _check_split_corpus(
+        "p-characterization", verify_p_characterization,
+        "component-0 classes are exactly the b with |S(a,b)| = 2",
     )
 
 
 def _check_difference_lemma() -> CheckResult:
-    name = "difference-lemma"
-    corpus = _split_corpus()
-    for f, S, part in corpus:
-        if not verify_difference_lemma(S, part):
-            return CheckResult(name, False, f"fails for table {f.values}")
-    return CheckResult(
-        name, True,
-        f"overlapping classes force the base class pattern at a-c and c-a, "
-        f"on all {len(corpus)} split examples",
+    return _check_split_corpus(
+        "difference-lemma", verify_difference_lemma,
+        "overlapping classes force the base class pattern at a-c and c-a",
     )
 
 
 def _check_transform_closure(deep: bool = False) -> CheckResult:
-    # N + H is every semi-planar table and transforms are bijections on all
-    # tables, so N closed under generators (renormalized by d = -psi(f(c)))
-    # makes the semi-planar tables and their complement unions of orbits.
+    # N + H is every semi-planar table, and transforms are bijections on all tables
+    # that commute with adding constants. So N closed under generators of Aut(G), Aut(H)
+    # and the translations (renormalized by d = -psi(f(c))) makes N + H a union of orbits.
     name = "transform-closure"
     sizes = []
     for factors in ((4,), (2, 2), (2, 4)) if deep else ((4,), (2, 2)):
         G = make_group(factors)
-        values = _search(factors, SearchOptions()).values
-        found = set(values)
+        rows = [bytes(f) for f in _search(factors, SearchOptions()).values]
+        found = set(rows)
         if not found:
             return CheckResult(name, False, f"{G.name}: the search found no table")
-        ident = tuple(G.elements())
-        auts = [a for a in automorphisms(G) if a != ident]
-        gens = [(a, ident, 0) for a in auts] + [(ident, a, 0) for a in auts]
-        gens += [(ident, ident, prod(factors[:i])) for i in range(len(factors))]
-        neg = neg_table(G)
-        for f in values:
-            for phi, psi, c in gens:
-                g = transform_values(f, G, G, phi, psi, c, neg[psi[f[c]]])
+        ident, gens = tuple(G.elements()), automorphism_generators(G)
+        maps = [(a, ident, 0) for a in gens] + [(ident, a, 0) for a in gens]
+        maps += [(ident, ident, prod(factors[:i])) for i in range(len(factors))]
+        for phi, psi, c in maps:
+            for f, g in zip(rows, transform_rows(rows, G, G, phi, psi, c)):
                 if g not in found:
-                    return CheckResult(name, False, f"{G.name}: {f} maps to {g}, not found")
+                    bad = f"{G.name}: {tuple(f)} maps to {tuple(g)}, not found"
+                    return CheckResult(name, False, bad)
         sizes.append(f"{G.name} ({len(found)})")
     return CheckResult(
         name, True,

@@ -46,6 +46,13 @@ def sub(factors, x, y):
     return add(factors, x, neg(factors, y))
 
 
+def transform(values, gfac, hfac, phi, psi, c, d):
+    """x -> psi(f(phi(x) + c)) + d, entry by entry."""
+    return tuple(
+        add(hfac, psi[values[add(gfac, phi[x], c)]], d) for x in range(group_order(gfac))
+    )
+
+
 def group_order(factors):
     k = 1
     for n in factors:

@@ -323,6 +323,19 @@ def test_json_reports_name_the_backend(capsys, argv):
     assert json.loads(out)["backend"] == KERNEL_BACKEND in ("compiled", "pure-python")
 
 
+# Stdout of verify-paper and verify-paper --deep --json, with the JSON
+# report's backend field written as "<backend>": every check's name, verdict
+# and detail text is pinned byte for byte, on either backend.
+VERIFY_GOLDEN = json.loads((Path(__file__).parent / "verify_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", VERIFY_GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_verify_paper_output_is_byte_identical(capsys, case):
+    code, out, err = run(capsys, *case["argv"])
+    out = out.replace(f'"backend": "{KERNEL_BACKEND}"', '"backend": "<backend>"')
+    assert (code, out, err) == (case["code"], case["out"], "")
+
+
 def test_verify_paper_injected_fault(capsys, monkeypatch):
     failing = verify.CheckResult("gold-family", False, "forced failure")
     monkeypatch.setattr(verify, "_check_gold_family", lambda: failing)

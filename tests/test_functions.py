@@ -20,7 +20,8 @@ from semibiplane import (
     parse_table,
     s_set,
 )
-from semibiplane.functions import transform_values
+from semibiplane.functions import transform_rows
+from semibiplane.groups import automorphisms
 
 # all permutations of the nonzero elements fixing 0 are additive on Z2xZ2
 V4_AUTOMORPHISMS = [
@@ -146,12 +147,15 @@ def test_semiplanar_delta_hits_half_the_values_twice(gold21, found_small):
 
 def test_equivalence_transform_identity_fixpoint(z2z2, gold21):
     ident = tuple(range(4))
-    assert transform_values(gold21.values, z2z2, z2z2, ident, ident, 0, 0) == gold21.values
+    row = bytes(gold21.values)
+    assert transform_rows([row], z2z2, z2z2, ident, ident, 0) == [row]
 
 
 def test_equivalence_transform_translation(z2z2, gold21):
+    # d = 1 leaves the image unnormalized, which only the oracle writes
     ident = tuple(range(4))
-    g = make_table(z2z2, z2z2, transform_values(gold21.values, z2z2, z2z2, ident, ident, 0, 1))
+    values = oracles.transform(gold21.values, [2, 2], [2, 2], ident, ident, 0, 1)
+    g = make_table(z2z2, z2z2, values)
     assert g.values == (1, 0, 0, 0)
     assert is_semiplanar(g).is_semiplanar
 
@@ -160,9 +164,58 @@ def test_equivalence_transform_domain_reversal(z6):
     f = make_table(z6, z6, [0, 1, 3, 2, 5, 4])
     rev = tuple((5 * x) % 6 for x in range(6))
     ident = tuple(range(6))
-    g = make_table(z6, z6, transform_values(f.values, z6, z6, rev, ident, 0, 0))
+    (row,) = transform_rows([bytes(f.values)], z6, z6, rev, ident, 0)
+    g = make_table(z6, z6, row)
     assert g.values == tuple(f.values[(5 * x) % 6] for x in range(6))
     assert is_semiplanar(g).is_semiplanar == is_semiplanar(f).is_semiplanar
+
+
+def test_transform_rows_rejects_a_codomain_above_256():
+    G, H = make_group([2]), make_group([257])
+    with pytest.raises(ValueError, match="Z257 has order 257"):
+        transform_rows([], G, H, (0, 1), tuple(range(257)), 0)
+
+
+def test_transform_rows_at_a_codomain_of_256():
+    G, H = make_group([2]), make_group([2, 128])
+    psi = tuple(oracles.neg([2, 128], y) for y in range(256))
+    row = bytes([7, 255])
+    d = oracles.neg([2, 128], psi[7])
+    want = oracles.transform(row, [2], [2, 128], (0, 1), psi, 0, d)
+    assert transform_rows([row], G, H, (0, 1), psi, 0) == [bytes(want)]
+
+
+# Semi-planar seeds per group: the first and last normalized Z2x4 tables of
+# the search and gold(3, 1) over Z2x2x2; Z8 has none. Z4 and Z2x2 use their
+# whole found sets.
+SEMIPLANAR_SEEDS = {
+    (4,): (), (2, 2): (), (8,): (),
+    (2, 4): ((0, 0, 0, 2, 1, 5, 0, 6), (0, 7, 7, 7, 7, 4, 5, 1)),
+    (2, 2, 2): ((0, 1, 3, 4, 5, 6, 7, 2),),
+}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_transform_rows_match_oracle(found_small, data):
+    # images renormalized by d = -psi(f(c)), on random tables and on
+    # semi-planar ones moved by a constant
+    factors = data.draw(st.sampled_from(sorted(SEMIPLANAR_SEEDS)))
+    G = make_group(factors)
+    k = G.order
+    seeds = [*SEMIPLANAR_SEEDS[factors], *(f.values for f in found_small.get(factors, ()))]
+    if seeds and data.draw(st.booleans()):
+        shift = data.draw(st.integers(0, k - 1))
+        values = tuple(oracles.add(factors, v, shift) for v in data.draw(st.sampled_from(seeds)))
+        assert is_semiplanar(make_table(G, G, values)).is_semiplanar
+    else:
+        values = tuple(data.draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k)))
+    auts = automorphisms(G)
+    phi, psi = data.draw(st.sampled_from(auts)), data.draw(st.sampled_from(auts))
+    c = data.draw(st.integers(0, k - 1))
+    d = oracles.neg(factors, psi[values[c]])
+    want = oracles.transform(values, factors, factors, phi, psi, c, d)
+    assert transform_rows([bytes(values)], G, G, phi, psi, c) == [bytes(want)]
 
 
 def additive_on_all_pairs(factors, perm):
@@ -205,8 +258,11 @@ def test_transform_preserves_semiplanarity_exhaustive_z6(z6):
             for psi in auts:
                 for c in range(6):
                     for d in range(6):
-                        g = make_table(z6, z6, transform_values(f.values, z6, z6, phi, psi, c, d))
-                        assert is_semiplanar(g).is_semiplanar == want
+                        g = oracles.transform(f.values, [6], [6], phi, psi, c, d)
+                        if d == oracles.neg([6], psi[f.values[c]]):
+                            packed = transform_rows([bytes(f.values)], z6, z6, phi, psi, c)
+                            assert packed == [bytes(g)]
+                        assert is_semiplanar(make_table(z6, z6, g)).is_semiplanar == want
 
 
 def test_transform_preserves_semiplanarity_exhaustive_v4(z2z2, found_small):
@@ -218,10 +274,11 @@ def test_transform_preserves_semiplanarity_exhaustive_v4(z2z2, found_small):
             for psi in V4_AUTOMORPHISMS:
                 for c in range(4):
                     for d in range(4):
-                        g = make_table(
-                            z2z2, z2z2, transform_values(f.values, z2z2, z2z2, phi, psi, c, d)
-                        )
-                        assert is_semiplanar(g).is_semiplanar == want
+                        g = oracles.transform(f.values, [2, 2], [2, 2], phi, psi, c, d)
+                        if d == oracles.neg([2, 2], psi[f.values[c]]):
+                            packed = transform_rows([bytes(f.values)], z2z2, z2z2, phi, psi, c)
+                            assert packed == [bytes(g)]
+                        assert is_semiplanar(make_table(z2z2, z2z2, g)).is_semiplanar == want
 
 
 def test_parse_format_roundtrip(z6):

@@ -13,7 +13,7 @@ from semibiplane import (
     is_subgroup,
     make_group,
 )
-from semibiplane.groups import add_table, neg_table, sub_table
+from semibiplane.groups import add_table, automorphism_generators, sub_table
 
 
 def test_make_group_orders():
@@ -44,7 +44,7 @@ def test_add_examples():
     for G in (z6, v4):
         for x in G.elements():
             assert G.add(G.zero, x) == x
-            assert G.sub(x, x) == G.zero
+            assert G.add(x, G.neg(x)) == G.zero
 
 
 def test_element_range_checked():
@@ -69,7 +69,7 @@ def test_group_axioms_exhaustive(factors):
     G = make_group(factors)
     k = G.order
     add = add_table(G)
-    neg = neg_table(G)
+    neg = [G.neg(x) for x in range(k)]
     for x in range(k):
         assert add[x * k + neg[x]] == 0
         assert add[0 * k + x] == x
@@ -172,3 +172,45 @@ def test_automorphisms_refuse_z512_before_building_its_addition_table():
     with pytest.raises(SearchBudgetError, match="Z512"):
         automorphisms(make_group([512]))
     assert time.perf_counter() - t0 < 0.01
+
+
+def factor_lists(limit):
+    """Every factor list of moduli >= 2 with product at most ``limit``."""
+    out = [[]]
+    for fs in out:
+        order = oracles.group_order(fs)
+        out += [fs + [n] for n in range(2, limit // order + 1)]
+    return out[1:]
+
+
+def generated(gens, k):
+    """The maps that compositions of ``gens`` reach from the identity."""
+    span, frontier = {tuple(range(k))}, [tuple(range(k))]
+    while frontier:
+        frontier = [tuple(g[x] for x in s) for s in frontier for g in gens]
+        frontier = [s for s in dict.fromkeys(frontier) if s not in span]
+        span.update(frontier)
+    return span
+
+
+def test_automorphism_generators_generate_the_whole_group():
+    # every group up to order 16 whose automorphisms fit AUT_WORK_BUDGET
+    over_budget = []
+    for factors in factor_lists(16):
+        G = make_group(factors)
+        try:
+            auts = automorphisms(G)
+        except SearchBudgetError:
+            over_budget.append(factors)
+            continue
+        gens = automorphism_generators(G)
+        assert set(gens) <= set(auts)
+        assert len(generated(gens, G.order)) == len(auts)
+    assert over_budget == [[2, 2, 2, 2]]
+
+
+@pytest.mark.parametrize("factors, count", [
+    ([4], 1), ([2, 2], 2), ([2, 4], 3), ([8], 2), ([2, 2, 2], 5),
+])
+def test_automorphism_generators_greedy_counts(factors, count):
+    assert len(automorphism_generators(make_group(factors))) == count

@@ -291,17 +291,37 @@ def test_fiber_limit_check_fails_on_a_table_with_a_large_fiber(monkeypatch, fres
 
 @pytest.mark.parametrize("fault", ["zero table", "one wrong entry"])
 def test_transform_closure_fails_under_a_broken_transform(monkeypatch, fresh_searches, fault):
-    real = verify.transform_values
+    real = verify.transform_rows
 
-    def broken(values, G, H, phi, psi, c, d):
-        g = real(values, G, H, phi, psi, c, d)
+    def broken(rows, G, H, phi, psi, c):
+        images = real(rows, G, H, phi, psi, c)
         if fault == "zero table":
-            return (0,) * len(g)
-        return g[:-1] + ((g[-1] + 1) % H.order,)
+            return [bytes(len(g)) for g in images]
+        return [g[:-1] + bytes([(g[-1] + 1) % H.order]) for g in images]
 
     assert _check_transform_closure().passed
-    monkeypatch.setattr(verify, "transform_values", broken)
+    monkeypatch.setattr(verify, "transform_rows", broken)
     assert not _check_transform_closure().passed
+
+
+def test_transform_closure_fails_when_a_found_table_is_dropped(fresh_searches, monkeypatch):
+    # the closure is checked from generators only, so a hole in the Z2x4 orbit
+    # must still show: some found table maps onto the dropped one
+    real = verify._search
+    dropped = real((2, 4), SearchOptions()).values[1]
+
+    def holed(factors, opts):
+        result = real(factors, opts)
+        if factors != (2, 4):
+            return result
+        return replace(result, values=tuple(v for v in result.values if v != dropped))
+
+    monkeypatch.setattr(verify, "_search", holed)
+    assert _check_transform_closure(deep=False).passed
+    result = _check_transform_closure(deep=True)
+    assert not result.passed
+    assert result.detail.startswith("Z2xZ4: (")
+    assert result.detail.endswith(f" maps to {dropped}, not found")
 
 
 def test_search_result_dict_schema(z6):
