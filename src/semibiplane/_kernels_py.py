@@ -34,15 +34,17 @@ def semiplanar_witness(values, gadd, hsub, k, n):
     return None
 
 
-def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, unused=None):
+def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, unused=None, *, pins=None):
     """Enumerate value tables of length k in lexicographic order.
 
     Returns ``(visited, count, found)`` where ``visited`` is the number of
     complete assignments examined, ``count`` the number of semi-planar tables
     among them, and ``found`` those tables as tuples (lexicographic order).
 
-    ``fix_zero`` pins f(0) = 0; ``shard_val >= 0`` pins f(1), the axis
-    ``exhaustive_search`` shards on. With ``use_pruning`` the enumeration
+    ``pins`` gives each position's pinned value, or -1 for free; ``fix_zero``
+    pins f(0) = 0 and ``shard_val >= 0`` pins f(1). A ``pins`` of length other
+    than k, an entry outside [-1, k) or one that conflicts with ``fix_zero``
+    or ``shard_val`` is a ValueError. With ``use_pruning`` the enumeration
     keeps incremental per-(a, y) counts of finished difference pairs and
     backtracks once any count exceeds 2. Pruning changes the work done, never
     the result: without it every leaf is checked by ``semiplanar_witness``,
@@ -50,6 +52,16 @@ def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, unused=
     ``unused`` is accepted and ignored until the next benchmark change
     removes it.
     """
+    pin = [-1] * k if pins is None else list(pins)
+    if len(pin) != k:
+        raise ValueError(f"pins has length {len(pin)}; expected {k}")
+    for x, p in enumerate(pin):
+        if not -1 <= p < k:
+            raise ValueError(f"pins[{x}] = {p!r} is outside [-1, {k})")
+    for x, p in ((0, 0 if fix_zero else -1), (1, shard_val)):
+        if p >= 0 and pin[x] not in (-1, p):
+            raise ValueError(f"pins[{x}] = {pin[x]} conflicts with pinned value {p}")
+        pin[x] = max(pin[x], p)
     f = [0] * k
     cnt = [0] * (k * k)  # cnt[a*k + y], a = 0 row unused
     visited = 0
@@ -74,12 +86,7 @@ def search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, unused=
                 count += 1
                 found.append(tuple(f))
             return
-        if x == 0 and fix_zero:
-            candidates = (0,)
-        elif x == 1 and shard_val >= 0:
-            candidates = (shard_val,)
-        else:
-            candidates = range(k)
+        candidates = range(k) if pin[x] < 0 else (pin[x],)
         for v in candidates:
             f[x] = v
             if use_pruning:

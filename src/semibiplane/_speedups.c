@@ -24,9 +24,9 @@
 /* Largest k whose k * k table indices fit an int. */
 #define MAX_K 46340
 
-/* Copy ``seq`` (exactly n ints, each in [0, k)) into ``out``. */
+/* Copy ``seq`` (exactly n ints, each in [lo, k)) into ``out``. */
 static int
-to_ints(PyObject *seq, Py_ssize_t n, int k, const char *name, int *out)
+to_ints(PyObject *seq, Py_ssize_t n, int lo, int k, const char *name, int *out)
 {
     PyObject *fast = PySequence_Fast(seq, "kernel tables must be sequences");
     if (fast == NULL)
@@ -45,9 +45,9 @@ to_ints(PyObject *seq, Py_ssize_t n, int k, const char *name, int *out)
             Py_DECREF(fast);
             return -1;
         }
-        if (overflow || v < 0 || v >= k) {
-            PyErr_Format(PyExc_ValueError, "%s[%zd] = %R is outside [0, %d)",
-                         name, i, items[i], k);
+        if (overflow || v < lo || v >= k) {
+            PyErr_Format(PyExc_ValueError, "%s[%zd] = %R is outside [%d, %d)",
+                         name, i, items[i], lo, k);
             Py_DECREF(fast);
             return -1;
         }
@@ -99,9 +99,9 @@ semiplanar_witness(PyObject *self, PyObject *args, PyObject *kwds)
     if (buf == NULL)
         return PyErr_NoMemory();
     int *f = buf, *cnt = buf + k, *gadd = cnt + n, *hsub = gadd + kk;
-    if (to_ints(values, k, n, "values", f) == 0
-            && to_ints(gadd_o, kk, k, "gadd", gadd) == 0
-            && to_ints(hsub_o, nn, n, "hsub", hsub) == 0) {
+    if (to_ints(values, k, 0, n, "values", f) == 0
+            && to_ints(gadd_o, kk, 0, k, "gadd", gadd) == 0
+            && to_ints(hsub_o, nn, 0, n, "hsub", hsub) == 0) {
         if (first_witness(k, n, f, gadd, hsub, cnt, w))
             result = Py_BuildValue("(iii)", w[0], w[1], w[2]);
         else
@@ -113,9 +113,9 @@ semiplanar_witness(PyObject *self, PyObject *args, PyObject *kwds)
 
 /* Depth-first search state; the arrays are the pure twin's locals. */
 typedef struct {
-    int k, shard_val, viol, fix_zero, use_pruning, failed;
+    int k, viol, use_pruning, failed;
     long long visited, count;
-    const int *gadd, *gsub, *hsub;
+    const int *gadd, *gsub, *hsub, *pin;
     int *f, *cnt, *scratch;
     PyObject *found;
 } Search;
@@ -181,10 +181,8 @@ dfs(Search *s, int x)
         }
         return;
     }
-    if (x == 0 && s->fix_zero) {
-        hi = 1;
-    } else if (x == 1 && s->shard_val >= 0) {
-        lo = s->shard_val;
+    if (s->pin[x] >= 0) {
+        lo = s->pin[x];
         hi = lo + 1;
     }
     for (int v = lo; v < hi && !s->failed; v++) {
@@ -202,22 +200,24 @@ static PyObject *
 search_tables(PyObject *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"k", "gadd", "gsub", "hsub", "fix_zero",
-                             "shard_val", "use_pruning", "unused", NULL};
-    PyObject *gadd_o, *gsub_o, *hsub_o, *unused = NULL, *result = NULL;
+                             "shard_val", "use_pruning", "unused", "pins", NULL};
+    PyObject *gadd_o, *gsub_o, *hsub_o, *unused = NULL, *pins_o = Py_None;
+    PyObject *result = NULL;
     Search s = {0};
+    int fix_zero, shard_val;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOOOpip|O", kwlist, &s.k,
-                                     &gadd_o, &gsub_o, &hsub_o, &s.fix_zero,
-                                     &s.shard_val, &s.use_pruning, &unused))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iOOOpip|O$O", kwlist, &s.k,
+                                     &gadd_o, &gsub_o, &hsub_o, &fix_zero,
+                                     &shard_val, &s.use_pruning, &unused, &pins_o))
         return NULL;
     int k = s.k;
     if (k < 2 || k > MAX_K)
         return PyErr_Format(PyExc_ValueError, "k = %d is outside [2, %d]", k, MAX_K);
-    if (s.shard_val >= k)
+    if (shard_val >= k)
         return PyErr_Format(PyExc_ValueError, "shard_val = %d is not below k = %d",
-                            s.shard_val, k);
+                            shard_val, k);
     size_t kk = (size_t)k * k;
-    int *buf = calloc(2 * (size_t)k + 4 * kk, sizeof(int));
+    int *buf = calloc(3 * (size_t)k + 4 * kk, sizeof(int));
     if (buf == NULL)
         return PyErr_NoMemory();
     int *gadd = buf, *gsub = gadd + kk, *hsub = gsub + kk;
@@ -227,9 +227,26 @@ search_tables(PyObject *self, PyObject *args, PyObject *kwds)
     s.cnt = hsub + kk;
     s.f = s.cnt + kk;
     s.scratch = s.f + k;
-    if (to_ints(gadd_o, kk, k, "gadd", gadd) == 0
-            && to_ints(gsub_o, kk, k, "gsub", gsub) == 0
-            && to_ints(hsub_o, kk, k, "hsub", hsub) == 0
+    int *pin = s.scratch + k;
+    s.pin = pin;
+    /* fix_zero and shard_val pin f(0) and f(1), as a ``pins`` entry may */
+    int fixed[2] = {fix_zero ? 0 : -1, shard_val}, ok = 1;
+    if (pins_o == Py_None)
+        memset(pin, -1, (size_t)k * sizeof(int));
+    else
+        ok = to_ints(pins_o, k, -1, k, "pins", pin) == 0;
+    for (int x = 0; ok && x < 2; x++) {
+        if (fixed[x] >= 0 && pin[x] >= 0 && pin[x] != fixed[x]) {
+            PyErr_Format(PyExc_ValueError, "pins[%d] = %d conflicts with pinned value %d",
+                         x, pin[x], fixed[x]);
+            ok = 0;
+        }
+        if (fixed[x] > pin[x])
+            pin[x] = fixed[x];
+    }
+    if (ok && to_ints(gadd_o, kk, 0, k, "gadd", gadd) == 0
+            && to_ints(gsub_o, kk, 0, k, "gsub", gsub) == 0
+            && to_ints(hsub_o, kk, 0, k, "hsub", hsub) == 0
             && (s.found = PyList_New(0)) != NULL) {
         dfs(&s, 0);
         if (!s.failed)
@@ -281,15 +298,15 @@ shift_tables(PyObject *self, PyObject *args, PyObject *kwds)
     Py_ssize_t n = ns * nt;
     int *hadd = buf, *chi = hadd + kk, *base = chi + (size_t)ns * k;
     int *rows = base + k;
-    if (to_ints(hadd_o, kk, k, "hadd", hadd) < 0)
+    if (to_ints(hadd_o, kk, 0, k, "hadd", hadd) < 0)
         goto done;
     for (Py_ssize_t j = 0; j < ns; j++)
-        if (to_ints(PySequence_Fast_GET_ITEM(shifts, j), k, k, "shift",
+        if (to_ints(PySequence_Fast_GET_ITEM(shifts, j), k, 0, k, "shift",
                     chi + j * k) < 0)
             goto done;
     int *row = rows;
     for (Py_ssize_t t = 0; t < nt; t++) {
-        if (to_ints(PySequence_Fast_GET_ITEM(tables, t), k, k, "table", base) < 0)
+        if (to_ints(PySequence_Fast_GET_ITEM(tables, t), k, 0, k, "table", base) < 0)
             goto done;
         for (Py_ssize_t j = 0; j < ns; j++, row += k)
             for (int x = 0; x < k; x++)
@@ -360,7 +377,7 @@ format_tables(PyObject *self, PyObject *args, PyObject *kwds)
     if ((result = PyList_New(nt)) == NULL)
         goto done;
     for (Py_ssize_t t = 0; t < nt; t++) {
-        if (to_ints(PySequence_Fast_GET_ITEM(tables, t), k, k, "table", vals) < 0) {
+        if (to_ints(PySequence_Fast_GET_ITEM(tables, t), k, 0, k, "table", vals) < 0) {
             Py_CLEAR(result);
             goto done;
         }
@@ -470,10 +487,10 @@ coset_labels(PyObject *self, PyObject *args, PyObject *kwds)
     }
     int *f = buf, *gadd = f + k, *hadd = gadd + kk, *hsub = hadd + nn;
     int *sub = hsub + nn, *line = sub + v, *point = line + v;
-    if (to_ints(values, k, n, "values", f) == 0
-            && to_ints(gadd_o, kk, k, "gadd", gadd) == 0
-            && to_ints(hadd_o, nn, n, "hadd", hadd) == 0
-            && to_ints(hsub_o, nn, n, "hsub", hsub) == 0) {
+    if (to_ints(values, k, 0, n, "values", f) == 0
+            && to_ints(gadd_o, kk, 0, k, "gadd", gadd) == 0
+            && to_ints(hadd_o, nn, 0, n, "hadd", hadd) == 0
+            && to_ints(hsub_o, nn, 0, n, "hsub", hsub) == 0) {
         int count = label_cosets(k, n, f, gadd, hadd, hsub, sub, in_sub, line, point);
         PyObject *points = int_tuple(point, v);
         PyObject *lines = points == NULL ? NULL : int_tuple(line, v);
@@ -497,7 +514,7 @@ static PyMethodDef methods[] = {
     {"search_tables", (PyCFunction)(void (*)(void))search_tables,
      METH_VARARGS | METH_KEYWORDS,
      "search_tables(k, gadd, gsub, hsub, fix_zero, shard_val, use_pruning, "
-     "unused=None)\n--\n\n"
+     "unused=None, *, pins=None)\n--\n\n"
      "Enumerate value tables of length k in lexicographic order; returns\n"
      "(visited, count, found). ``unused`` is accepted and ignored until the\n"
      "next benchmark change removes it. See the pure-Python twin for the\n"

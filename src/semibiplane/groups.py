@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, prod
 from typing import Iterable, Sequence
 
@@ -116,10 +117,26 @@ def coset(G: GroupSpec, S: Iterable[int], rep: int) -> frozenset[int]:
     return frozenset(G.add(s, rep) for s in S)
 
 
+def homomorphisms(G: GroupSpec, H: GroupSpec) -> list[tuple[int, ...]]:
+    """Homomorphisms G -> H as value tables, in lexicographic order: one for
+    each choice of images y_i in H, n_i * y_i = 0, of the factor generators."""
+    n = H.order
+    add = add_table(H)
+    maps = [(0,)]
+    for m in G.factors:
+        # [0, y, ..., m * y] for each y; those with m * y = 0 are images
+        rows = [list(accumulate([y] * m, lambda u, w: add[u * n + w], initial=0))
+                for y in H.elements()]
+        multiples = [r[:m] for r in rows if r[m] == 0]
+        # x = low + stride * d with low < stride, so phi(x) = phi(low) + d * y
+        maps = [tuple(add[v * n + t] for t in mult for v in phi)
+                for mult in multiples for phi in maps]
+    return sorted(maps)
+
+
 def automorphisms(G: GroupSpec) -> list[tuple[int, ...]]:
-    """Automorphisms of G as index permutations, in lexicographic order:
-    the bijective homomorphisms, each fixed by its images y_i of the factor
-    generators, where any y_i with n_i * y_i = 0 gives one. Raises
+    """Automorphisms of G as index permutations, in lexicographic order: the
+    bijective members of ``homomorphisms(G, G)``. Raises
     ``SearchBudgetError`` first when the candidate images times the order
     exceed ``AUT_WORK_BUDGET``."""
     k = G.order
@@ -130,15 +147,7 @@ def automorphisms(G: GroupSpec) -> list[tuple[int, ...]]:
             f"automorphisms of {G.name} would try {candidates} generator images "
             f"on {k} elements, over the budget of {AUT_WORK_BUDGET}"
         )
-    add = add_table(G)
-    maps = [(0,)]
-    for n in G.factors:
-        # x = low + stride * d with low < stride, so phi(x) = phi(low) + d * y
-        maps = [
-            tuple(add[v * k + m] for m in mult for v in phi)
-            for mult in torsion_multiples(G, n) for phi in maps
-        ]
-    return sorted(phi for phi in maps if len(set(phi)) == k)
+    return [phi for phi in homomorphisms(G, G) if len(set(phi)) == k]
 
 
 def automorphism_generators(G: GroupSpec) -> list[tuple[int, ...]]:
@@ -152,17 +161,3 @@ def automorphism_generators(G: GroupSpec) -> list[tuple[int, ...]]:
             while new := {tuple(g[x] for x in s) for s in new for g in gens} - span:
                 span |= new
     return gens
-
-
-def torsion_multiples(G: GroupSpec, n: int) -> list[list[int]]:
-    """[0, y, 2y, ..., (n-1)y] for each y in G with n * y = 0, in order of y."""
-    k = G.order
-    add = add_table(G)
-    out = []
-    for y in G.elements():
-        mult = [0]
-        for _ in range(n):
-            mult.append(add[mult[-1] * k + y])
-        if mult[n] == 0:
-            out.append(mult[:n])
-    return out

@@ -7,11 +7,12 @@ checker, which makes the two routes independent implementations that must
 agree. The pruning also enforces the fiber bound: a fiber of size s puts
 s(s-1) finished pairs into the k-1 cells (a, 0), so s = k//2 + 1 forces a
 count of 3 for every k > 4 except 5 and 7, odd orders with no semi-planar
-table. Each searched value of f(1) is one shard. The pruned route searches
-one f(1) per coset of H[n1] and rebuilds the other shards by homomorphism
-shifts (``_shifts``) in the ``kernels.shift_tables`` kernel, which also sorts
-the found tables. The result keeps them as value tuples and builds
-``FuncTable`` objects only when ``found`` is read.
+table. The pruned route is reduced by the shifts f -> f + chi, chi in
+Hom(G, H), and in full mode f -> f + chi + d, d constant. It pins f(0) = 0
+and f(g_i) at each factor generator g_i to the least element of one coset of
+H[n_i]; each tuple of pins is one shard. ``kernels.shift_tables`` rebuilds
+the rest and sorts the found tables, which the result keeps as value tuples,
+building ``FuncTable`` objects only when ``found`` is read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from time import perf_counter
 from . import kernels
 from .errors import SearchBudgetError
 from .functions import FuncTable, format_tables
-from .groups import GroupSpec, add_table, sub_table, torsion_multiples
+from .groups import GroupSpec, add_table, homomorphisms, sub_table
 
 #: Full search is k^k or k^(k-1) tables; above this order an explicit
 #: ``max_order`` override is required.
@@ -109,16 +110,25 @@ def exhaustive_search(
     hadd = add_table(H)
     hsub = sub_table(H)
     t0 = perf_counter()
-    # Shifts keep the difference counts, so they map the pruned search onto
-    # itself; the unpruned route stays the plain enumeration.
-    chis = _shifts(G, H) if opts.use_pruning else [(0,) * k]
-    reps = sorted({min(hadd[s * k + chi[1]] for chi in chis) for s in range(k)})
-
+    # the pruned route pins f(0) = 0 in full mode too: the constants rebuild the rest
+    pins = [0 if opts.fix_zero_at_zero or opts.use_pruning else -1] + [-1] * (k - 1)
+    chis, shard_pins = [(0,) * k], [pins]
+    if opts.use_pruning:
+        # The shifts keep every difference count and act freely, and chi(g_i)
+        # runs over H[n_i] = {h : n_i * h = 0}, so each orbit of pruned leaves
+        # has exactly one member that matches the pins of one shard.
+        chis = homomorphisms(G, H)
+        g = 1
+        for n in G.factors:
+            torsion = {chi[g] for chi in chis}
+            reps = sorted({min(hadd[s * k + t] for t in torsion) for s in range(k)})
+            shard_pins = [p[:g] + [r] + p[g + 1:] for p in shard_pins for r in reps]
+            g *= n
+        if not opts.fix_zero_at_zero:
+            chis = [tuple(hadd[c * k + d] for c in chi) for d in range(k) for chi in chis]
     shards = [
-        kernels.search_tables(
-            k, gadd, gsub, hsub, opts.fix_zero_at_zero, shard_val, opts.use_pruning
-        )
-        for shard_val in reps
+        kernels.search_tables(k, gadd, gsub, hsub, False, -1, opts.use_pruning, pins=p)
+        for p in shard_pins
     ]
 
     visited = sum(s[0] for s in shards) * len(chis)
@@ -127,18 +137,6 @@ def exhaustive_search(
     if opts.max_results is not None:
         values = values[: opts.max_results]
     return SearchResult(visited, count, tuple(values), perf_counter() - t0, G, H)
-
-
-def _shifts(G: GroupSpec, H: GroupSpec) -> list[tuple[int, ...]]:
-    """Value tables of chi_r(x) = x1 * r for r in H[n1] = {r : n1 * r = 0},
-    x1 the first digit of x and n1 = G.factors[0].
-
-    chi_r is a homomorphism, so f -> f + chi_r keeps f(0), shifts row a of
-    the difference table by chi_r(a), and maps the pruned search's leaves
-    and semi-planar tables onto themselves; it moves f(1) by r.
-    """
-    n1 = G.factors[0]
-    return [tuple(mult[x % n1] for x in G.elements()) for mult in torsion_multiples(H, n1)]
 
 
 def search_result_dict(result: SearchResult, normalized: bool) -> dict:

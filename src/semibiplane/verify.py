@@ -301,8 +301,8 @@ def _check_fiber_limit(deep: bool = False) -> CheckResult:
 
 
 def _check_worker_determinism() -> CheckResult:
-    # Benchmark digests pin check names, hence the old name. Z4 and Z2x2
-    # search one f(1) shard, rebuild the rest by shifts, and have tables.
+    # Benchmark digests pin check names, hence the old name. Z4 and Z2x2 have
+    # tables, and each searches one shard and rebuilds the rest by shifts.
     name = "worker-determinism"
     for factors in ((4,), (2, 2)):
         for fix_zero in (True, False):

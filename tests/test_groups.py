@@ -1,4 +1,5 @@
 import time
+from itertools import product
 from math import gcd
 
 import pytest
@@ -13,7 +14,7 @@ from semibiplane import (
     is_subgroup,
     make_group,
 )
-from semibiplane.groups import add_table, automorphism_generators, sub_table
+from semibiplane.groups import add_table, automorphism_generators, homomorphisms, sub_table
 
 
 def test_make_group_orders():
@@ -128,6 +129,27 @@ def test_coset_examples():
     z6 = make_group([6])
     assert coset(z6, {0, 2, 4}, 1) == frozenset({1, 3, 5})
     assert coset(z6, {0, 2, 4}, 2) == frozenset({0, 2, 4})
+
+
+@pytest.mark.parametrize("gfac, hfac, count", [
+    ([2], [4], 2), ([4], [2], 2), ([4], [4], 4), ([4], [2, 2], 4), ([2, 2], [4], 4),
+    ([2, 2], [2, 2], 16), ([6], [2, 3], 6), ([2, 4], [2, 4], 32), ([2, 4], [8], 8),
+    ([8], [2, 4], 8), ([2, 2, 2], [2, 4], 64), ([2, 2, 2], [2, 2, 2], 512), ([3, 3], [9], 9),
+])
+def test_homomorphisms_are_every_additive_map(gfac, hfac, count):
+    # count is prod |H[n_i]|; up to order 4 every table is tried
+    G, H = make_group(gfac), make_group(hfac)
+    homs = homomorphisms(G, H)
+    assert len(homs) == len(set(homs)) == count
+    assert homs == sorted(homs)
+    pairs = [(x, y) for x in G.elements() for y in G.elements()]
+    for phi in homs:
+        assert all(phi[oracles.add(gfac, x, y)] == oracles.add(hfac, phi[x], phi[y])
+                   for x, y in pairs)
+    if G.order <= 4:
+        tables = product(H.elements(), repeat=G.order)
+        assert homs == [t for t in tables if all(
+            t[oracles.add(gfac, x, y)] == oracles.add(hfac, t[x], t[y]) for x, y in pairs)]
 
 
 def test_automorphisms_cyclic():

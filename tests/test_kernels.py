@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 
 import oracles
 from semibiplane import _kernels_py, format_table, kernels, make_table
-from semibiplane.groups import add_table, make_group, sub_table
-from semibiplane.search import _shifts
+from semibiplane.groups import add_table, homomorphisms, make_group, sub_table
 
 try:
     from semibiplane import _speedups
@@ -196,7 +195,7 @@ def test_shift_tables_match_oracle_every_backend(groups, data):
     gfac, hfac = groups
     G, H = make_group(gfac), make_group(hfac)
     tables = data.draw(crowded_tables(G.order))
-    shifts = _shifts(G, H)
+    shifts = homomorphisms(G, H)
     want = oracles.shifted_tables(hfac, shifts, tables)
     for impl in IMPLS:
         assert impl.shift_tables(G.order, add_table(H), shifts, tables) == want
@@ -205,9 +204,11 @@ def test_shift_tables_match_oracle_every_backend(groups, data):
 @needs_speedups
 def test_compiled_shift_tables_match_twin_on_z2x2x2_shard():
     G = make_group([2, 2, 2])
-    gadd, gsub, shifts = add_table(G), sub_table(G), _shifts(G, G)
-    _, count, tables = _speedups.search_tables(8, gadd, gsub, gsub, True, 0, True)
-    assert count == len(tables) == 10752 and len(shifts) == 8
+    gadd, gsub, shifts = add_table(G), sub_table(G), homomorphisms(G, G)
+    # the one shard of the search: f at 0 and at the factor generators 1, 2, 4 pinned to 0
+    pins = [0, 0, 0, -1, 0, -1, -1, -1]
+    _, count, tables = _speedups.search_tables(8, gadd, gsub, gsub, True, -1, True, pins=pins)
+    assert count == len(tables) == 168 and len(shifts) == 512
     got = _speedups.shift_tables(8, gadd, shifts, tables)
     assert len(got) == 86016
     assert got == _kernels_py.shift_tables(8, gadd, shifts, tables)
@@ -216,13 +217,13 @@ def test_compiled_shift_tables_match_twin_on_z2x2x2_shard():
 def test_shift_tables_of_no_tables_is_empty():
     G = make_group([2, 4])
     for impl in IMPLS:
-        assert impl.shift_tables(8, add_table(G), _shifts(G, G), []) == []
+        assert impl.shift_tables(8, add_table(G), homomorphisms(G, G), []) == []
 
 
 @needs_speedups
 def test_compiled_shift_tables_reject_bad_input():
     G = make_group([4])
-    k, hadd, shifts = 4, add_table(G), _shifts(G, G)
+    k, hadd, shifts = 4, add_table(G), homomorphisms(G, G)
     table = (0, 1, 2, 3)
     with pytest.raises(ValueError, match="table has length 3"):
         _speedups.shift_tables(k, hadd, shifts, [table, (0, 1, 2)])
@@ -246,7 +247,7 @@ def test_compiled_shift_tables_reject_bad_input():
 @pytest.mark.parametrize("enabled", [True, False])
 def test_compiled_shift_tables_keep_the_gc_state(enabled):
     G = make_group([2, 2])
-    hadd, shifts = add_table(G), _shifts(G, G)
+    hadd, shifts = add_table(G), homomorphisms(G, G)
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
@@ -339,11 +340,10 @@ UBSAN_RUN = """
 import random
 import _speedups as c
 from semibiplane import _kernels_py as py
-from semibiplane.groups import add_table, make_group, sub_table
-from semibiplane.search import _shifts
+from semibiplane.groups import add_table, homomorphisms, make_group, sub_table
 
-def same(name, *args):
-    assert getattr(c, name)(*args) == getattr(py, name)(*args), (name, args)
+def same(name, *args, **kwargs):
+    assert getattr(c, name)(*args, **kwargs) == getattr(py, name)(*args, **kwargs), (name, args)
 
 rng = random.Random(5)
 for gfac, hfac in [([2], [4]), ([4], [2]), ([2, 2], [4]), ([6], [6]), ([2, 4], [2, 2, 2])]:
@@ -363,8 +363,9 @@ for gfac, hfac in [([2], [4]), ([4], [2]), ([2, 2], [4]), ([6], [6]), ([2, 4], [
             continue
         same("search_tables", k, gadd, gsub, hsub, fix_zero, shard, pruning)
     same("search_tables", k, gadd, gsub, hsub, True, 1, True, True)  # ignored eighth argument
+    same("search_tables", k, gadd, gsub, hsub, False, -1, True, pins=[0, 1] + [-1] * (k - 2))
     tables = c.search_tables(k, gadd, gsub, hsub, True, 1, True)[2] or [tuple(range(k))]
-    same("shift_tables", k, hadd, _shifts(G, H), tables)
+    same("shift_tables", k, hadd, homomorphisms(G, H), tables)
     same("format_tables", tables, k)
 for args in [([0, 1, 2], add_table(make_group([4])), sub_table(make_group([4])), 4, 4),
              ([0, 1, 2, 2 ** 70], add_table(make_group([4])), sub_table(make_group([4])), 4, 4)]:
@@ -473,6 +474,48 @@ def test_compiled_kernels_reject_bad_input():
         _speedups.search_tables(k, gadd, gsub, gsub, True, k, True)
     with pytest.raises(ValueError, match="k = 1"):
         _speedups.search_tables(1, [0], [0], [0], True, -1, True)
+
+
+@needs_speedups
+@given(st.sampled_from(SEARCH_GROUPS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_search_parity_under_random_pins(groups, data):
+    G, H = make_group(groups[0]), make_group(groups[1])
+    k = G.order
+    pins = data.draw(st.lists(st.integers(-1, k - 1), min_size=k, max_size=k))
+    fix_zero, use_pruning = data.draw(st.booleans()), data.draw(st.booleans())
+    shard_val = data.draw(st.integers(-1, k - 1))
+    args = (k, add_table(G), sub_table(G), sub_table(H), fix_zero, shard_val, use_pruning)
+    if (fix_zero and pins[0] > 0) or -1 < pins[1] != shard_val > -1:
+        for impl in IMPLS:
+            with pytest.raises(ValueError, match="conflicts"):
+                impl.search_tables(*args, pins=pins)
+        return
+    a = _kernels_py.search_tables(*args, pins=pins)
+    b = _speedups.search_tables(*args, pins=pins)
+    assert (a[0], a[1], list(a[2])) == (b[0], b[1], list(b[2]))
+    # pins that repeat fix_zero and shard_val change nothing
+    if fix_zero:
+        pins[0] = 0
+    if shard_val >= 0:
+        pins[1] = shard_val
+    assert _speedups.search_tables(*args, pins=pins) == b
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_search_tables_reject_bad_pins(impl):
+    k, gadd, gsub = tables_for([4])
+    args = (k, gadd, gsub, gsub, True, 1, True)
+    for pins, match in [([-1] * 3, "pins has length 3"), ([-1] * 5, "pins has length 5"),
+                        ([-1, -1, -2, -1], r"pins\[2\] = -2 is outside \[-1, 4\)"),
+                        ([-1, -1, -1, 4], r"pins\[3\] = 4 is outside \[-1, 4\)"),
+                        ([2, -1, -1, -1], r"pins\[0\] = 2 conflicts with pinned value 0"),
+                        ([-1, 3, -1, -1], r"pins\[1\] = 3 conflicts with pinned value 1")]:
+        with pytest.raises(ValueError, match=match):
+            impl.search_tables(*args, pins=pins)
+    with pytest.raises(TypeError):
+        impl.search_tables(*args, None, [-1] * k)  # pins is keyword-only
+    assert impl.search_tables(*args, pins=[0, 1, -1, -1]) == impl.search_tables(*args)
 
 
 def test_shards_partition_the_space():

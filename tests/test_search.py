@@ -23,6 +23,11 @@ from semibiplane.verify import (
     _check_worker_determinism,
 )
 
+try:
+    from semibiplane._speedups import search_tables as reference_search
+except ImportError:
+    reference_search = kernels.search_tables
+
 UNPRUNED = SearchOptions(use_pruning=False)
 
 
@@ -119,24 +124,56 @@ def test_shift_reduction_matches_unreduced(gfac, hfac, fix_zero):
         assert got == unreduced_search(G, H, opts), opts
 
 
+#: order-8 (G, H) pairs, normalized, with the pruned search's visited and
+#: count, which no reduction may change
+ORDER_8_CASES = [
+    ([2, 4], [2, 4], 231424, 1024), ([4, 2], [4, 2], 231424, 1024),
+    ([2, 2, 2], [2, 2, 2], 86016, 86016), ([4, 2], [2, 4], 231424, 1024),
+    ([8], [2, 4], 244736, 0), ([2, 4], [8], 270848, 0),
+    ([8], [2, 2, 2], 193536, 0), ([2, 2, 2], [8], 247296, 0),
+    ([2, 4], [2, 2, 2], 86016, 0), ([2, 2, 2], [2, 4], 86016, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "gfac, hfac, visited, count", ORDER_8_CASES,
+    ids=[f"{'x'.join(map(str, g))}-{'x'.join(map(str, h))}" for g, h, _, _ in ORDER_8_CASES],
+)
+def test_shift_reduction_matches_one_unsharded_call_at_order_8(gfac, hfac, visited, count):
+    # The compiled kernel, when built, is the reference: one unsharded pure
+    # call takes about 4 s on a 2-core x86-64 host.
+    G, H = make_group(gfac), make_group(hfac)
+    want = reference_search(8, add_table(G), sub_table(G), sub_table(H), True, -1, True)
+    result = exhaustive_search(G, H)
+    assert (result.visited, result.count) == (visited, count) == want[:2]
+    assert list(result.values) == sorted(want[2])
+
+
 def test_odd_orders_5_and_7_are_shift_reduced(monkeypatch):
-    # Shifts map the pruned search onto itself at every order, so one f(1)
-    # shard is searched and the other k - 1 are rebuilt from it.
+    # Shifts by Hom(G, H) map the pruned search onto itself at every order:
+    # a cyclic group and Z2x2x2 search one shard, Z2x4 one per coset of H[2].
     calls = []
     real = kernels.search_tables
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(*args, **kwargs):
+        calls.append(kwargs["pins"])
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "search_tables", spy)
-    for k, fix_zero, visited in [(5, True, 320), (5, False, 1600),
-                                 (7, True, 26208), (7, False, 183456)]:
-        G = make_group([k])
+    for factors, fix_zero, visited, count, shards in [
+        ([5], True, 320, 0, 1), ([5], False, 1600, 0, 1),
+        ([7], True, 26208, 0, 1), ([7], False, 183456, 0, 1),
+        ([2, 4], True, 231424, 1024, 2), ([2, 2, 2], True, 86016, 86016, 1),
+    ]:
+        G = make_group(factors)
         result = exhaustive_search(G, G, SearchOptions(fix_zero_at_zero=fix_zero))
-        assert (result.visited, result.count, result.values) == (visited, 0, ())
-        assert len(calls) == 1
+        assert (result.visited, result.count) == (visited, count)
+        assert len(calls) == shards
         calls.clear()
+    exhaustive_search(make_group([2, 4]), make_group([2, 4]))
+    # f(g_2) at 0, the least element of H = H[4]; f(g_1) at 0 or 2, the least
+    # elements of H[2] = {0, 1, 4, 5} and of its other coset
+    assert calls == [[0, 0, 0, -1, -1, -1, -1, -1], [0, 2, 0, -1, -1, -1, -1, -1]]
 
 
 def test_visited_counts_unpruned(z6):
@@ -253,9 +290,9 @@ def fresh_searches():
 def test_shard_merge_check_fails_when_a_shift_is_dropped(monkeypatch, fresh_searches):
     assert _check_worker_determinism().passed
     verify._search.cache_clear()
-    shifts = search._shifts
-    # without its last nonzero shift, one f(1) shard is neither searched nor rebuilt
-    monkeypatch.setattr(search, "_shifts", lambda G, H: shifts(G, H)[:-1])
+    homs = search.homomorphisms
+    # without its last homomorphism, part of each orbit is never rebuilt
+    monkeypatch.setattr(search, "homomorphisms", lambda G, H: homs(G, H)[:-1])
     assert not _check_worker_determinism().passed
 
 
